@@ -63,19 +63,13 @@ func main() {
 	} else {
 		// In-process world of -ranks goroutines, or — under `peachy
 		// launch` — this process's single rank of a multi-process world.
-		world, err := cluster.OpenWorld(*ranks, cluster.DefaultOptions())
+		ex, err := cluster.OpenExhibit(obsCLI, *ranks)
 		if err != nil {
 			fatal(err)
 		}
-		defer world.Close()
-		if obsCLI.Enabled() {
-			trace = world.Observe()
-		}
-		srv, err := obsCLI.Serve(trace, world.ObsInfo())
-		if err != nil {
-			fatal(err)
-		}
-		defer srv.Close()
+		defer ex.Close()
+		trace = ex.Trace
+		world := ex.World
 		e, report, err := ensemble.TrainDistributed(world, train, val, cfgs, *dynamic)
 		if err != nil {
 			fatal(err)

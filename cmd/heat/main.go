@@ -13,6 +13,7 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/heat"
 	"repro/internal/locale"
 	"repro/internal/obs"
@@ -33,18 +34,12 @@ func main() {
 	sys := locale.NewSystem(*locales, *cores)
 
 	start := time.Now()
-	var trace *obs.Trace
-	var rec *obs.Recorder
-	if obsCLI.Enabled() {
-		trace = obs.NewTrace(1)
-		rec = trace.Rank(0)
-	}
-	srv, err := obsCLI.Serve(trace, obs.ServerInfo{Rank: -1, World: 1, Device: "local"})
+	ex, err := cluster.OpenExhibit(obsCLI, 0)
 	if err != nil {
 		fatal(err)
 	}
-	defer srv.Close()
-	wall := rec.Now()
+	defer ex.Close()
+	wall := ex.Rec.Now()
 	var u []float64
 	switch *solver {
 	case "serial":
@@ -61,10 +56,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	rec.WallSpan("heat."+*solver, wall,
+	ex.Rec.WallSpan("heat."+*solver, wall,
 		obs.KV{K: "nx", V: int64(*nx)}, obs.KV{K: "nt", V: int64(*nt)})
 	elapsed := time.Since(start)
-	if err := obsCLI.Emit(trace); err != nil {
+	if err := obsCLI.Emit(ex.Trace); err != nil {
 		fatal(err)
 	}
 

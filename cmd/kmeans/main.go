@@ -56,27 +56,20 @@ func main() {
 	}
 
 	start := time.Now()
-	var trace *obs.Trace
-	var res *kmeans.Result
-	lead := true // the process that prints the once-per-world result
+	// In-process world of -ranks goroutines, or — when spawned by `peachy
+	// launch` — this process's single rank of a multi-process world on the
+	// net device; without -distributed, shared memory.
+	worldRanks := 0
 	if *distributed {
-		// In-process world of -ranks goroutines, or — when spawned by
-		// `peachy launch` — this process's single rank of a multi-process
-		// world on the net device.
-		world, err := cluster.OpenWorld(*ranks, cluster.DefaultOptions())
-		if err != nil {
-			fatal(err)
-		}
-		defer world.Close()
-		lead = world.Lead()
-		if obsCLI.Enabled() {
-			trace = world.Observe()
-		}
-		srv, err := obsCLI.Serve(trace, world.ObsInfo())
-		if err != nil {
-			fatal(err)
-		}
-		defer srv.Close()
+		worldRanks = *ranks
+	}
+	ex, err := cluster.OpenExhibit(obsCLI, worldRanks)
+	if err != nil {
+		fatal(err)
+	}
+	defer ex.Close()
+	var res *kmeans.Result
+	if world := ex.World; world != nil {
 		res, err = kmeans.RunDistributed(world, points, opts)
 		if err != nil {
 			fatal(err)
@@ -88,30 +81,20 @@ func main() {
 		fmt.Printf("cluster%s: %d messages, %d bytes, simulated time %.2g s\n",
 			scope, world.TotalMessages(), world.TotalBytes(), world.SimTime())
 	} else {
-		var rec *obs.Recorder
-		if obsCLI.Enabled() {
-			trace = obs.NewTrace(1)
-			rec = trace.Rank(0)
-		}
-		srv, err := obsCLI.Serve(trace, obs.ServerInfo{Rank: -1, World: 1, Device: "local"})
-		if err != nil {
-			fatal(err)
-		}
-		defer srv.Close()
-		wall := rec.Now()
+		wall := ex.Rec.Now()
 		res = kmeans.Run(points, opts)
-		rec.WallSpan("kmeans."+*strategy, wall,
+		ex.Rec.WallSpan("kmeans."+*strategy, wall,
 			obs.KV{K: "points", V: int64(len(points))}, obs.KV{K: "iterations", V: int64(res.Iterations)})
 	}
 	elapsed := time.Since(start)
-	if err := obsCLI.Emit(trace); err != nil {
+	if err := obsCLI.Emit(ex.Trace); err != nil {
 		fatal(err)
 	}
 
 	// Only the lead process reports the global result: in a launched
 	// world the gathered assignment (and so WCSS) exists on rank 0 only,
 	// and the numbers are identical to an in-process run anyway.
-	if lead {
+	if ex.Lead() {
 		fmt.Printf("n=%d d=%d K=%d strategy=%s: %.3fs, %d iterations (converged=%v), WCSS=%.2f\n",
 			len(points), len(points[0]), *k, *strategy,
 			elapsed.Seconds(), res.Iterations, res.Converged, res.WCSS(points))

@@ -59,22 +59,22 @@ func main() {
 	}
 
 	start := time.Now()
-	var trace *obs.Trace
+	// mapreduce runs on an in-process world of -ranks goroutines, or —
+	// under `peachy launch` — this process's single rank of a
+	// multi-process world; the other variants on shared memory.
+	worldRanks := 0
+	if *variant == "mapreduce" {
+		worldRanks = *ranks
+	}
+	ex, err := cluster.OpenExhibit(obsCLI, worldRanks)
+	if err != nil {
+		fatal(err)
+	}
+	defer ex.Close()
 	var pred []int
-	lead := true // the process that reports the once-per-world result
 	switch *variant {
 	case "sort", "heap", "parallel", "kdtree":
-		var rec *obs.Recorder
-		if obsCLI.Enabled() {
-			trace = obs.NewTrace(1)
-			rec = trace.Rank(0)
-		}
-		srv, err := obsCLI.Serve(trace, obs.ServerInfo{Rank: -1, World: 1, Device: "local"})
-		if err != nil {
-			fatal(err)
-		}
-		defer srv.Close()
-		wall := rec.Now()
+		wall := ex.Rec.Now()
 		switch *variant {
 		case "sort":
 			pred = knn.SequentialSort(db, queries, *k)
@@ -86,25 +86,10 @@ func main() {
 			tree := spatial.NewKDTreeParallel(db.Points, db.Labels, *workers)
 			pred = knn.KDTree(tree, queries, *k, *workers)
 		}
-		rec.WallSpan("knn."+*variant, wall,
+		ex.Rec.WallSpan("knn."+*variant, wall,
 			obs.KV{K: "queries", V: int64(len(queries))}, obs.KV{K: "db", V: int64(db.Len())})
 	case "mapreduce":
-		// In-process world of -ranks goroutines, or — under `peachy
-		// launch` — this process's single rank of a multi-process world.
-		world, err := cluster.OpenWorld(*ranks, cluster.DefaultOptions())
-		if err != nil {
-			fatal(err)
-		}
-		defer world.Close()
-		lead = world.Lead()
-		if obsCLI.Enabled() {
-			trace = world.Observe()
-		}
-		srv, err := obsCLI.Serve(trace, world.ObsInfo())
-		if err != nil {
-			fatal(err)
-		}
-		defer srv.Close()
+		world := ex.World
 		pred, err = knn.MapReduce(world, db, queries, *k, *combiner)
 		if err != nil {
 			fatal(err)
@@ -115,13 +100,13 @@ func main() {
 		fatal(fmt.Errorf("unknown variant %q", *variant))
 	}
 	elapsed := time.Since(start)
-	if err := obsCLI.Emit(trace); err != nil {
+	if err := obsCLI.Emit(ex.Trace); err != nil {
 		fatal(err)
 	}
 
 	// Predictions are gathered to rank 0, so only the lead process can
 	// score them; in a launched world the other ranks stop here.
-	if lead {
+	if ex.Lead() {
 		fmt.Printf("variant=%s n=%d q=%d d=%d k=%d: %.3fs, accuracy %.4f\n",
 			*variant, db.Len(), len(queries), db.Dim, *k,
 			elapsed.Seconds(), knn.Accuracy(pred, labels))

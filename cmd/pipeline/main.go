@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/cluster"
 	"repro/internal/nycgen"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
@@ -33,23 +34,19 @@ func main() {
 	ctx := rdd.NewContext()
 	// The rdd engine is driver-sequential, so the whole pipeline records
 	// onto a single-rank trace attached to the context.
-	var trace *obs.Trace
-	if obsCLI.Enabled() {
-		trace = obs.NewTrace(1)
-		ctx.SetRecorder(trace.Rank(0))
-	}
-	srv, err := obsCLI.Serve(trace, obs.ServerInfo{Rank: -1, World: 1, Device: "local"})
+	ex, err := cluster.OpenExhibit(obsCLI, 0)
 	if err != nil {
 		fatal(err)
 	}
-	defer srv.Close()
+	defer ex.Close()
+	ctx.SetRecorder(ex.Rec)
 	if *trips {
 		tripData, weather := pipeline.GenerateTrips(*seed, 300)
 		fmt.Printf("trips=%d days=%d\n", len(tripData), len(weather))
 		for _, s := range pipeline.TripsPipeline(ctx, tripData, weather, *parts) {
 			fmt.Println(s)
 		}
-		if err := obsCLI.Emit(trace); err != nil {
+		if err := obsCLI.Emit(ex.Trace); err != nil {
 			fatal(err)
 		}
 		return
@@ -79,7 +76,7 @@ func main() {
 		100*float64(rep.TotalRows-rep.CleanRows)/float64(rep.TotalRows))
 	fmt.Printf("engine: %d shuffles, %d shuffled records, %d tasks\n",
 		ctx.ShuffleCount(), ctx.ShuffledRecords(), ctx.TaskCount())
-	if err := obsCLI.Emit(trace); err != nil {
+	if err := obsCLI.Emit(ex.Trace); err != nil {
 		fatal(err)
 	}
 

@@ -120,53 +120,33 @@ func main() {
 		fatal(err)
 	}
 	start := time.Now()
-	var trace *obs.Trace
-	lead := true // the process that reports the once-per-world result
-	if *ranks > 0 {
-		// In-process world of -ranks goroutines, or — under `peachy
-		// launch` — this process's single rank of a multi-process world.
-		world, err := cluster.OpenWorld(*ranks, cluster.DefaultOptions())
-		if err != nil {
-			fatal(err)
-		}
-		defer world.Close()
-		lead = world.Lead()
-		if obsCLI.Enabled() {
-			trace = world.Observe()
-		}
-		srv, err := obsCLI.Serve(trace, world.ObsInfo())
-		if err != nil {
-			fatal(err)
-		}
-		defer srv.Close()
+	// In-process world of -ranks goroutines, or — under `peachy launch` —
+	// this process's single rank of a multi-process world; shared memory
+	// when -ranks is 0 or less.
+	ex, err := cluster.OpenExhibit(obsCLI, max(*ranks, 0))
+	if err != nil {
+		fatal(err)
+	}
+	defer ex.Close()
+	if world := ex.World; world != nil {
 		if err := s.RunCluster(world, *steps); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("cluster: %d messages, %d bytes, simulated time %.2g s\n",
 			world.TotalMessages(), world.TotalBytes(), world.SimTime())
 	} else {
-		var rec *obs.Recorder
-		if obsCLI.Enabled() {
-			trace = obs.NewTrace(1)
-			rec = trace.Rank(0)
-		}
-		srv, err := obsCLI.Serve(trace, obs.ServerInfo{Rank: -1, World: 1, Device: "local"})
-		if err != nil {
-			fatal(err)
-		}
-		defer srv.Close()
-		wall := rec.Now()
+		wall := ex.Rec.Now()
 		s.RunParallel(*steps, *workers, m)
-		rec.WallSpan("traffic.parallel", wall,
+		ex.Rec.WallSpan("traffic.parallel", wall,
 			obs.KV{K: "steps", V: int64(*steps)}, obs.KV{K: "cars", V: int64(*cars)})
 	}
 	elapsed := time.Since(start)
-	if err := obsCLI.Emit(trace); err != nil {
+	if err := obsCLI.Emit(ex.Trace); err != nil {
 		fatal(err)
 	}
 	// The gathered final state (and so the fingerprint) exists on rank 0
 	// only; in a launched world the other ranks stop here.
-	if lead {
+	if ex.Lead() {
 		fmt.Printf("cars=%d road=%d p=%.2f vmax=%d steps=%d mode=%s: %.3fs\n",
 			*cars, *roadLen, *p, *vmax, *steps, m, elapsed.Seconds())
 		fmt.Printf("mean velocity %.3f, flow %.3f cars/cell/step, fingerprint %016x\n",

@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -113,6 +115,33 @@ func TestRepositoryIsClean(t *testing.T) {
 		for _, f := range Analyze(u, DefaultConfig()) {
 			t.Errorf("repo not clean: %s", f)
 		}
+	}
+}
+
+// TestConcurrentLoadAnalyze runs two Load+Analyze passes at once. Each
+// load owns its importer, so under -race the passes share no state, and
+// they report the same findings.
+func TestConcurrentLoadAnalyze(t *testing.T) {
+	dir := fixtureDir("lockcopy")
+	var findings [2][]Finding
+	var wg sync.WaitGroup
+	for i := range findings {
+		wg.Add(1)
+		go func(i int) { //peachyvet:allow rawgo — the test IS two independent analyzer passes racing
+			defer wg.Done()
+			units, err := Load([]string{dir})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for _, u := range units {
+				findings[i] = append(findings[i], Analyze(u, DefaultConfig())...)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if len(findings[0]) == 0 || !reflect.DeepEqual(findings[0], findings[1]) {
+		t.Errorf("concurrent passes disagree or found nothing:\n%v\n%v", findings[0], findings[1])
 	}
 }
 

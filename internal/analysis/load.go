@@ -43,6 +43,11 @@ type Unit struct {
 	ownOnce  bool         // ownership dataflow ran (shared by two rules)
 	ownFinds []ownFinding // its raw findings, filtered per enabled rule
 
+	// imp resolves imports for type-checking. Load gives every unit it
+	// returns the same one, so source-imported std packages are parsed
+	// once per load and released with its units; a unit built elsewhere
+	// gets its own on first use.
+	imp       *lenientImporter
 	typesOnce bool
 	info      *types.Info
 	typesPkg  *types.Package
@@ -103,6 +108,10 @@ func Load(patterns []string) ([]*Unit, error) {
 	var units []*Unit
 	for _, dir := range dirs {
 		units = append(units, loadDir(fset, dir)...)
+	}
+	imp := newLenientImporter(fset)
+	for _, u := range units {
+		u.imp = imp
 	}
 	return units, nil
 }

@@ -607,7 +607,7 @@ func (e *ownEngine) rhsFromRecv(rhs ast.Expr, st *ownState) bool {
 
 func isRecvName(name string) bool {
 	switch name {
-	case "Recv", "RecvFrom", "RecvSub", "TryRecv", "SendRecv":
+	case "Recv", "RecvFrom", "TryRecv", "SendRecv":
 		return true
 	}
 	return false
@@ -671,7 +671,7 @@ func (e *ownEngine) handleCall(call *ast.CallExpr, st *ownState) {
 			// reduce+bcast fallback clones at the root before broadcasting
 			// (collectives.go). The *result* still aliases shared memory —
 			// handled in bind — but the argument is reusable.
-			reusable := cc.name == "Allreduce" || cc.name == "AllreduceSub"
+			reusable := cc.name == "Allreduce"
 			if i := collPayloadIndex(cc.name); i >= 0 && i < len(call.Args) && !reusable && e.payloadShares(call.Args[i]) {
 				if reg, ok := e.resolveRef(call.Args[i], st); ok {
 					st.live[reg.root] = &liveInfo{op: cc.name, pos: call.Pos()}
@@ -680,7 +680,7 @@ func (e *ownEngine) handleCall(call *ast.CallExpr, st *ownState) {
 			return
 		}
 		switch name := commCallName(call); name {
-		case "Send", "SendSub", "SendRecv":
+		case "Send", "SendRecv":
 			if len(call.Args) == 4 && e.payloadShares(call.Args[3]) {
 				if reg, ok := e.resolveRef(call.Args[3], st); ok {
 					st.live[reg.root] = &liveInfo{
@@ -690,7 +690,7 @@ func (e *ownEngine) handleCall(call *ast.CallExpr, st *ownState) {
 				}
 			}
 			return
-		case "Recv", "RecvFrom", "RecvSub", "TryRecv":
+		case "Recv", "RecvFrom", "TryRecv":
 			if len(call.Args) == 3 {
 				st.clearPeer(renderPeer(call.Args[1], e.consts))
 			}
@@ -729,7 +729,7 @@ func (e *ownEngine) handleCall(call *ast.CallExpr, st *ownState) {
 			}
 		}
 		if fact, escapes := sends[pname]; escapes {
-			if fact.op == "Allreduce" || fact.op == "AllreduceSub" {
+			if fact.op == "Allreduce" {
 				continue // payload consumed before return, as above
 			}
 			st.live[reg.root] = &liveInfo{

@@ -51,10 +51,6 @@ func lastSlash(s string) int {
 	return -1
 }
 
-// sharedImporter caches source-imported std packages across units; all
-// units share one FileSet so this is safe.
-var sharedImporters = map[*token.FileSet]*lenientImporter{}
-
 // ensureTypes runs go/types over the unit with every error tolerated.
 // Partial information is expected: expressions whose types could not be
 // resolved simply have no entry in info.Types.
@@ -63,13 +59,11 @@ func (u *Unit) ensureTypes() {
 		return
 	}
 	u.typesOnce = true
-	imp := sharedImporters[u.Fset]
-	if imp == nil {
-		imp = newLenientImporter(u.Fset)
-		sharedImporters[u.Fset] = imp
+	if u.imp == nil {
+		u.imp = newLenientImporter(u.Fset)
 	}
 	conf := types.Config{
-		Importer:         imp,
+		Importer:         u.imp,
 		Error:            func(error) {}, // collect nothing; partial info is fine
 		IgnoreFuncBodies: false,
 		FakeImportC:      true,

@@ -152,8 +152,9 @@ type mailbox struct {
 	peerDown []error
 
 	waitActive bool // a take is currently blocked
-	waitSrc    int  // the (src, tag) that take is blocked on
+	waitSrc    int  // the (src, tag, ctx) that take is blocked on
 	waitTag    int
+	waitCtx    int
 	opInfo     string // current collective "Op @ site" ("" between collectives)
 	collSeq    int    // collective sequence number at the last beginColl
 }
@@ -177,7 +178,7 @@ func (m *mailbox) put(msg message) {
 	// waiter — its owning rank — so Signal suffices.
 	wake := m.waitActive &&
 		(m.waitSrc == AnySource || m.waitSrc == msg.src) &&
-		tagMatches(m.waitTag, msg.tag)
+		tagMatches(m.waitTag, msg.tag, m.waitCtx)
 	m.mu.Unlock()
 	if wake {
 		m.cond.Signal()
@@ -186,6 +187,7 @@ func (m *mailbox) put(msg message) {
 
 // peek locates the pending message Recv(src, tag) would deliver next,
 // without removing it, returning the owning bucket and absolute index.
+// src is a world rank, tag a wire tag (or AnyTag, scoped to context ctx).
 // For a concrete src it scans only that source's bucket (the head in the
 // typical in-order case); for AnySource it finds the earliest-arrived
 // match across buckets, preserving the previous global arrival-order
@@ -193,14 +195,14 @@ func (m *mailbox) put(msg message) {
 // TryRecv) and Probe/ProbeNext all go through it, so a probe can never
 // name a different "next message" than the receive that follows it.
 // Caller holds m.mu.
-func (m *mailbox) peek(src, tag int) (bkt, idx int, ok bool) {
+func (m *mailbox) peek(src, tag, ctx int) (bkt, idx int, ok bool) {
 	if m.nPending == 0 {
 		return 0, 0, false
 	}
 	if src != AnySource {
 		b := &m.bySrc[src]
 		for i := b.head; i < len(b.items); i++ {
-			if tagMatches(tag, b.items[i].tag) {
+			if tagMatches(tag, b.items[i].tag, ctx) {
 				return src, i, true
 			}
 		}
@@ -211,7 +213,7 @@ func (m *mailbox) peek(src, tag int) (bkt, idx int, ok bool) {
 	for s := range m.bySrc {
 		b := &m.bySrc[s]
 		for i := b.head; i < len(b.items); i++ {
-			if tagMatches(tag, b.items[i].tag) {
+			if tagMatches(tag, b.items[i].tag, ctx) {
 				if bestBucket < 0 || b.items[i].seq < bestSeq {
 					bestBucket, bestIdx, bestSeq = s, i, b.items[i].seq
 				}
@@ -227,8 +229,8 @@ func (m *mailbox) peek(src, tag int) (bkt, idx int, ok bool) {
 
 // match finds and removes the matching pending message, if any. Caller
 // holds m.mu.
-func (m *mailbox) match(src, tag int) (message, bool) {
-	bkt, idx, ok := m.peek(src, tag)
+func (m *mailbox) match(src, tag, ctx int) (message, bool) {
+	bkt, idx, ok := m.peek(src, tag, ctx)
 	if !ok {
 		return message{}, false
 	}
@@ -240,15 +242,15 @@ func (m *mailbox) match(src, tag int) (message, bool) {
 }
 
 // take blocks until a message matching (src, tag) is pending and removes
-// it, preserving FIFO order per (src, tag) pair. c is the receiving
+// it, preserving FIFO order per (src, tag) pair. e is the receiving
 // rank's endpoint; in Verify mode the wait is bounded by the world's
 // VerifyTimeout, after which a deadlock dump of every rank is returned
 // as the error.
-func (m *mailbox) take(src, tag int, c *Comm) (message, error) {
-	timeout := c.world.verifyTimeout()
+func (m *mailbox) take(src, tag, ctx int, e *endpoint) (message, error) {
+	timeout := e.world.verifyTimeout()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.waitActive, m.waitSrc, m.waitTag = true, src, tag
+	m.waitActive, m.waitSrc, m.waitTag, m.waitCtx = true, src, tag, ctx
 	defer func() { m.waitActive = false }()
 
 	var deadline time.Time
@@ -262,7 +264,7 @@ func (m *mailbox) take(src, tag int, c *Comm) (message, error) {
 		defer timer.Stop()
 	}
 	for {
-		if msg, ok := m.match(src, tag); ok {
+		if msg, ok := m.match(src, tag, ctx); ok {
 			return msg, nil
 		}
 		if m.closed {
@@ -274,7 +276,7 @@ func (m *mailbox) take(src, tag int, c *Comm) (message, error) {
 			// process that would send it is gone. Rendering the diagnosis
 			// re-reads this mailbox (downPeers), so drop our lock first.
 			m.mu.Unlock()
-			derr := c.world.deadPeerError(c.rank, src, tag, err)
+			derr := e.world.deadPeerError(e.worldRank, src, tag, err)
 			m.mu.Lock()
 			return message{}, derr
 		}
@@ -282,7 +284,7 @@ func (m *mailbox) take(src, tag int, c *Comm) (message, error) {
 			// Drop our own lock before walking every rank's mailbox so two
 			// concurrent dumpers can never hold-and-wait on each other.
 			m.mu.Unlock()
-			dump := c.world.deadlockDump(c.rank, src, tag, timeout)
+			dump := e.world.deadlockDump(e.worldRank, src, tag, timeout)
 			m.mu.Lock()
 			return message{}, errors.New(dump)
 		}
@@ -299,14 +301,14 @@ var errWorldAborted = errors.New("cluster: world aborted")
 // from a root-cause panic.
 type abortPanic struct{ msg string }
 
-// tagMatches applies receive matching: AnyTag is a wildcard over user
-// tags only — it never matches the reserved negative tag spaces that
-// collectives and sub-communicators use, so a wildcard point-to-point
-// receive can never steal in-flight collective traffic from a rank that
-// ran ahead.
-func tagMatches(want, got int) bool {
+// tagMatches applies receive matching: AnyTag is a wildcard over the user
+// tags of context ctx only — it never matches collective tags or another
+// communicator's tags, so a wildcard point-to-point receive can never
+// steal in-flight collective traffic from a rank that ran ahead, nor
+// traffic meant for a parent or sibling communicator.
+func tagMatches(want, got, ctx int) bool {
 	if want == AnyTag {
-		return got >= 0
+		return isUserTag(got, ctx)
 	}
 	return want == got
 }
@@ -399,7 +401,7 @@ func NewWorldOpts(size int, opts Options) *World {
 		w.boxes[r] = newMailbox(size)
 	}
 	for r := 0; r < size; r++ {
-		w.comms[r] = &Comm{world: w, rank: r}
+		w.comms[r] = newWorldComm(w, r)
 	}
 	return w
 }
@@ -573,11 +575,15 @@ func (w *World) ResetStats() {
 	}
 }
 
-// Comm is one rank's endpoint into the world. It is owned by the rank's
-// goroutine; methods must not be called from other goroutines.
-type Comm struct {
-	world *World
-	rank  int
+// endpoint is one rank's private state, shared by every communicator the
+// rank holds (its world Comm and each Comm that Split returns): the
+// mailbox, the simulated clock, the traffic counters, the trace recorder
+// and the Verify-mode collective state. It is owned by the rank's
+// goroutine.
+type endpoint struct {
+	world     *World
+	worldRank int
+	box       *mailbox
 
 	clock float64 // simulated seconds
 	msgs  int64
@@ -593,9 +599,6 @@ type Comm struct {
 	obsSimStart  float64
 	obsWallStart int64
 
-	collSeq int // collective matching sequence; see collTag
-	subGen  int // sub-communicator generation counter; see Split
-
 	// Verify mode: the collective this rank is currently inside ("" while
 	// in user code or point-to-point calls). Owner-goroutine only; the
 	// mailbox mirrors it for cross-goroutine dump readers. collDepth
@@ -603,13 +606,67 @@ type Comm struct {
 	// op name wins.
 	curOp, curSite string
 	collDepth      int
+
+	nextCtx int // next free context id on this rank; see Split
+}
+
+// Comm is a communicator: a view of one rank's endpoint through a group of
+// ranks. The world communicator is the identity group (ranks == nil,
+// context 0); Split returns communicators over subsets of a parent's
+// ranks with their own rank numbering and tag space. Point-to-point calls
+// and every collective take group ranks and work on either kind. A Comm
+// is owned by its rank's goroutine; methods must not be called from other
+// goroutines.
+type Comm struct {
+	*endpoint
+	rank    int   // this rank's id in the group
+	ranks   []int // group rank -> world rank; nil for the world (identity)
+	ctx     int   // context id selecting the tag space; 0 for the world
+	collSeq int   // collective matching sequence; see nextCollTag
+}
+
+// newWorldComm creates rank r's endpoint and its world communicator.
+func newWorldComm(w *World, r int) *Comm {
+	e := &endpoint{world: w, worldRank: r, box: w.boxes[r], nextCtx: 1}
+	return &Comm{endpoint: e, rank: r}
 }
 
 // Rank returns this rank's id in [0, Size).
 func (c *Comm) Rank() int { return c.rank }
 
-// Size returns the world size.
-func (c *Comm) Size() int { return c.world.size }
+// Size returns the number of ranks in the communicator.
+func (c *Comm) Size() int {
+	if c.ranks == nil {
+		return c.world.size
+	}
+	return len(c.ranks)
+}
+
+// worldOf translates a group rank to the world rank that mailboxes and
+// traces use. AnySource and the rootless -1 pass through.
+func (c *Comm) worldOf(r int) int {
+	if c.ranks == nil || r == AnySource {
+		return r
+	}
+	if r < 0 || r >= len(c.ranks) {
+		panic(fmt.Sprintf("cluster: rank %d outside a communicator of size %d", r, len(c.ranks)))
+	}
+	return c.ranks[r]
+}
+
+// groupOf is worldOf's inverse for message sources. Only members send in
+// a communicator's context, so the lookup cannot miss.
+func (c *Comm) groupOf(w int) int {
+	if c.ranks == nil {
+		return w
+	}
+	for g, r := range c.ranks {
+		if r == w {
+			return g
+		}
+	}
+	panic(fmt.Sprintf("cluster: world rank %d is not in this communicator", w))
+}
 
 // Clock returns this rank's simulated time in seconds.
 func (c *Comm) Clock() float64 { return c.clock }
@@ -623,10 +680,14 @@ func (c *Comm) AdvanceClock(seconds float64) { c.clock += seconds }
 // obs.Recorder methods are nil-safe, so callers need no guard.
 func (c *Comm) Obs() *obs.Recorder { return c.rec }
 
-// sendRaw posts a message and advances the sender's clock.
+// sendRaw posts a message to group rank dst with wire tag tag and
+// advances the sender's clock.
 func (c *Comm) sendRaw(dst, tag int, payload any, bytes int) {
-	if dst < 0 || dst >= c.world.size {
+	if dst < 0 || dst >= c.Size() {
 		panic(fmt.Sprintf("cluster: send to invalid rank %d", dst))
+	}
+	if c.ranks != nil {
+		dst = c.ranks[dst]
 	}
 	simStart := c.clock
 	c.clock += c.world.opts.Latency + c.world.opts.ByteTime*float64(bytes)
@@ -636,22 +697,23 @@ func (c *Comm) sendRaw(dst, tag int, payload any, bytes int) {
 		c.rec.Send(dst, tag, int64(bytes), simStart, c.clock)
 	}
 	c.world.dev.deliver(dst, message{
-		src: c.rank, tag: tag, payload: payload, bytes: bytes, arrive: c.clock,
+		src: c.worldRank, tag: tag, payload: payload, bytes: bytes, arrive: c.clock,
 		op: c.curOp, site: c.curSite,
 	})
 }
 
-// recvRaw blocks for a matching message and advances the receiver's clock
-// to at least the message's availability time. In Verify mode it
-// cross-checks the collective stamp on the message against the collective
-// this rank is inside.
+// recvRaw blocks for a message from group rank src (or AnySource) with
+// wire tag tag (or AnyTag) and advances the receiver's clock to at least
+// the message's availability time. In Verify mode it cross-checks the
+// collective stamp on the message against the collective this rank is
+// inside. The returned message's src is a group rank.
 func (c *Comm) recvRaw(src, tag int) message {
 	var wallStart int64
 	simStart := c.clock
 	if c.rec != nil {
 		wallStart = c.rec.Now()
 	}
-	msg, err := c.world.boxes[c.rank].take(src, tag, c)
+	msg, err := c.box.take(c.worldOf(src), tag, c.ctx, c.endpoint)
 	if err != nil {
 		if errors.Is(err, errWorldAborted) {
 			panic(abortPanic{err.Error()})
@@ -673,23 +735,26 @@ func (c *Comm) recvRaw(src, tag int) message {
 			c.rec.WireSpan("net.rx", msg.wireB, msg.decNs)
 		}
 	}
+	if c.ranks != nil {
+		msg.src = c.groupOf(msg.src)
+	}
 	return msg
 }
 
 // Send delivers v to rank dst with the given tag. It does not block on the
 // receiver (eager/buffered semantics).
 func Send[T any](c *Comm, dst, tag int, v T) {
-	c.sendRaw(dst, tag, v, byteSize(v))
+	c.sendRaw(dst, c.wireTag(tag), v, byteSize(v))
 }
 
 // Recv blocks until a message from src with the given tag arrives and
 // returns its payload. src may be AnySource and tag may be AnyTag. The
 // payload must have been sent with the same type T.
 func Recv[T any](c *Comm, src, tag int) T {
-	msg := c.recvRaw(src, tag)
+	msg := c.recvRaw(src, c.recvTag(tag))
 	v, ok := msg.payload.(T)
 	if !ok {
-		panic(fmt.Sprintf("cluster: rank %d Recv type mismatch: got %T", c.rank, msg.payload))
+		panic(fmt.Sprintf("cluster: rank %d Recv type mismatch: got %T", c.worldRank, msg.payload))
 	}
 	return v
 }
@@ -697,12 +762,21 @@ func Recv[T any](c *Comm, src, tag int) T {
 // RecvFrom is Recv that additionally reports the sending rank; useful with
 // AnySource (the dynamic task farm uses it).
 func RecvFrom[T any](c *Comm, src, tag int) (T, int) {
-	msg := c.recvRaw(src, tag)
+	msg := c.recvRaw(src, c.recvTag(tag))
 	v, ok := msg.payload.(T)
 	if !ok {
-		panic(fmt.Sprintf("cluster: rank %d RecvFrom type mismatch: got %T", c.rank, msg.payload))
+		panic(fmt.Sprintf("cluster: rank %d RecvFrom type mismatch: got %T", c.worldRank, msg.payload))
 	}
 	return v, msg.src
+}
+
+// SendRecv performs a simultaneous exchange with a partner rank (the
+// halo-exchange primitive): it posts the send, then blocks on the
+// matching receive, which cannot deadlock under this runtime's buffered
+// sends.
+func SendRecv[T any](c *Comm, partner, tag int, v T) T {
+	Send(c, partner, tag, v)
+	return Recv[T](c, partner, tag)
 }
 
 // byteSize estimates the wire size of a payload for the cost model.

@@ -8,14 +8,19 @@ import (
 
 // Collective matching: every rank must call the same sequence of
 // collectives on its Comm (the usual MPI requirement). Each call consumes
-// one tag from a reserved negative tag space so that collectives never
-// collide with user point-to-point traffic or with each other.
+// one tag from a reserved negative tag space of the communicator's
+// context (see split.go) so that collectives never collide with user
+// point-to-point traffic, with each other, or with another communicator's
+// traffic.
 const collTagBase = -(1 << 30)
 
 func (c *Comm) nextCollTag() int {
-	t := collTagBase - c.collSeq
+	seq := c.collSeq
 	c.collSeq++
-	return t
+	if c.ctx == 0 {
+		return collTagBase - seq
+	}
+	return ctxBase(c.ctx) - ctxUserTags - seq%(ctxSpan-ctxUserTags)
 }
 
 // Algorithm selection (see docs/substrates.md for the full table):
@@ -37,7 +42,7 @@ func (c *Comm) nextCollTag() int {
 //	Scan       linear chain, as in a textbook MPI_Scan
 //
 // Options.BaselineCollectives forces the reference algorithms everywhere.
-// Selection depends only on world-level state (P and the option), never
+// Selection depends only on the communicator's size P and the option, never
 // on payload sizes: sizes are rank-divergent (each rank sees only its own
 // contribution), and an algorithm choice the ranks disagree on changes
 // who receives from whom — a wire mismatch. MPI implementations switch on

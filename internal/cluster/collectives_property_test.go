@@ -31,45 +31,62 @@ func collectiveScript(t *testing.T, p int, opts Options) ([]perRank, *World) {
 	out := make([]perRank, p)
 	w := NewWorldOpts(p, opts)
 	err := w.Run(func(c *Comm) {
-		r := c.Rank()
-		rec := &out[r] // each rank writes only its own slot
-		c.Barrier()
-		rec.Bcast = Bcast(c, p-1, float64((r+1)*1000))
-
-		rec.Reduce = Reduce(c, p/2, int64(r+1), func(a, b int64) int64 { return a + b })
-		if r != p/2 {
-			rec.Reduce = 0 // non-root partials are explicitly unspecified
-		}
-
-		vec := []float64{float64(r + 1), float64((r + 1) * (r + 1))}
-		rec.Allreduce = Allreduce(c, vec, SumFloat64s)
-
-		rec.Gather = Gather(c, p/2, int64(r*10+1))
-
-		rec.Allgather = Allgather(c, fmt.Sprintf("rank-%d", r))
-
-		var parts [][]float64
-		if r == p/2 {
-			parts = make([][]float64, p)
-			for i := range parts {
-				parts[i] = []float64{float64(2 * i), float64(2*i + 1)}
-			}
-		}
-		rec.Scatter = Scatter(c, p/2, parts)
-
-		a2a := make([]int64, p)
-		for i := range a2a {
-			a2a[i] = int64(r*100 + i)
-		}
-		rec.Alltoall = Alltoall(c, a2a)
-
-		rec.Scan = Scan(c, int64(r+1), func(a, b int64) int64 { return a + b })
-		c.Barrier()
+		runCollectiveScript(c, &out[c.Rank()]) // each rank writes only its own slot
 	})
 	if err != nil {
 		t.Fatalf("P=%d opts=%+v: Run failed: %v", p, opts, err)
 	}
 	return out, w
+}
+
+// runCollectiveScript is the script's body on any communicator — the world
+// or a Split group — recording this rank's observations into rec.
+func runCollectiveScript(c *Comm, rec *perRank) {
+	p, r := c.Size(), c.Rank()
+	c.Barrier()
+	rec.Bcast = Bcast(c, p-1, float64((r+1)*1000))
+
+	rec.Reduce = Reduce(c, p/2, int64(r+1), func(a, b int64) int64 { return a + b })
+	if r != p/2 {
+		rec.Reduce = 0 // non-root partials are explicitly unspecified
+	}
+
+	vec := []float64{float64(r + 1), float64((r + 1) * (r + 1))}
+	rec.Allreduce = Allreduce(c, vec, SumFloat64s)
+
+	rec.Gather = Gather(c, p/2, int64(r*10+1))
+
+	rec.Allgather = Allgather(c, fmt.Sprintf("rank-%d", r))
+
+	var parts [][]float64
+	if r == p/2 {
+		parts = make([][]float64, p)
+		for i := range parts {
+			parts[i] = []float64{float64(2 * i), float64(2*i + 1)}
+		}
+	}
+	rec.Scatter = Scatter(c, p/2, parts)
+
+	a2a := make([]int64, p)
+	for i := range a2a {
+		a2a[i] = int64(r*100 + i)
+	}
+	rec.Alltoall = Alltoall(c, a2a)
+
+	rec.Scan = Scan(c, int64(r+1), func(a, b int64) int64 { return a + b })
+	c.Barrier()
+}
+
+// scriptVariants are the four worlds every collective property runs on:
+// {optimized, baseline} algorithms x {Verify off, on}.
+var scriptVariants = []struct {
+	name string
+	opts Options
+}{
+	{"optimized", DefaultOptions()},
+	{"baseline", func() Options { o := DefaultOptions(); o.BaselineCollectives = true; return o }()},
+	{"optimized+verify", VerifyOptions()},
+	{"baseline+verify", func() Options { o := VerifyOptions(); o.BaselineCollectives = true; return o }()},
 }
 
 // wantPerRank computes the script's ground truth directly, with no
@@ -122,17 +139,8 @@ func TestCollectivesMatchBaseline(t *testing.T) {
 		p := p
 		t.Run(fmt.Sprintf("P%d", p), func(t *testing.T) {
 			want := wantPerRank(p)
-			variants := []struct {
-				name string
-				opts Options
-			}{
-				{"optimized", DefaultOptions()},
-				{"baseline", func() Options { o := DefaultOptions(); o.BaselineCollectives = true; return o }()},
-				{"optimized+verify", VerifyOptions()},
-				{"baseline+verify", func() Options { o := VerifyOptions(); o.BaselineCollectives = true; return o }()},
-			}
-			results := make([][]perRank, len(variants))
-			for i, v := range variants {
+			results := make([][]perRank, len(scriptVariants))
+			for i, v := range scriptVariants {
 				got, _ := collectiveScript(t, p, v.opts)
 				results[i] = got
 				for r := range got {

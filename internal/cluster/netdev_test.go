@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -202,25 +203,55 @@ func TestNetWorldSpecialPayloads(t *testing.T) {
 	}
 }
 
-// TestNetWorldSubComm runs Split + a sub-communicator collective over the
-// wire (splitEntry is part of the pre-registered payload vocabulary).
-func TestNetWorldSubComm(t *testing.T) {
-	const P = 4
-	sums := make([]float64, P)
-	errs, _ := runNetWorld(t, "unix", netAddrs(t, P), DefaultOptions(), func(c *Comm) {
-		sub := c.Split(c.Rank()%2, c.Rank())
-		sums[c.Rank()] = AllreduceSub(sub, float64(c.Rank()+1), func(a, b float64) float64 { return a + b })
-	})
+// TestNetWorldSplit runs Split and sub-group collectives over the wire
+// (splitEntry is part of the pre-registered payload vocabulary): on
+// groups of 3 and 2 ordered by descending world rank, Allreduce,
+// Allgather and Alltoall must produce the in-process results and
+// simulated clocks bit for bit.
+func TestNetWorldSplit(t *testing.T) {
+	const P = 5
+	type subResult struct {
+		Sum   float64
+		All   []float64
+		A2A   []int64
+		Clock float64
+	}
+	program := func(out []subResult) func(c *Comm) {
+		return func(c *Comm) {
+			sub := c.Split(c.Rank()%2, -c.Rank())
+			o := &out[c.Rank()]
+			o.Sum = Allreduce(sub, float64(c.Rank()+1), add[float64])
+			o.All = Allgather(sub, float64(c.Rank())*1.5)
+			parts := make([]int64, sub.Size())
+			for i := range parts {
+				parts[i] = int64(c.Rank()*100 + i)
+			}
+			o.A2A = Alltoall(sub, parts)
+			o.Clock = c.Clock()
+		}
+	}
+	inproc := make([]subResult, P)
+	if err := NewWorld(P).Run(program(inproc)); err != nil {
+		t.Fatal(err)
+	}
+	overNet := make([]subResult, P)
+	errs, _ := runNetWorld(t, "unix", netAddrs(t, P), DefaultOptions(), program(overNet))
 	for r, err := range errs {
 		if err != nil {
 			t.Fatalf("rank %d: %v", r, err)
 		}
 	}
-	want := []float64{4, 6, 4, 6} // evens 1+3, odds 2+4
-	for r := range sums {
-		if sums[r] != want[r] {
-			t.Fatalf("subcomm sums = %v, want %v", sums, want)
+	if !reflect.DeepEqual(inproc, overNet) {
+		t.Fatalf("net sub-group results differ from in-process:\n net %+v\n in  %+v", overNet, inproc)
+	}
+	wantSums := []float64{9, 6, 9, 6, 9} // evens 1+3+5, odds 2+4
+	for r := range inproc {
+		if inproc[r].Sum != wantSums[r] {
+			t.Fatalf("sub-group sums wrong at rank %d: %+v", r, inproc)
 		}
+	}
+	if want := []float64{6, 3, 0}; !reflect.DeepEqual(inproc[0].All, want) {
+		t.Fatalf("even group Allgather = %v, want %v (descending world rank)", inproc[0].All, want)
 	}
 }
 

@@ -7,30 +7,8 @@ import "repro/internal/obs"
 // trace attached the poll is recorded as an instant event, so a polling
 // manager's duty cycle is visible on the timeline.
 func (c *Comm) Probe(src, tag int) bool {
-	box := c.world.boxes[c.rank]
-	box.mu.Lock()
-	_, _, hit := box.probeLocked(src, tag)
-	box.mu.Unlock()
-	if c.rec != nil {
-		c.rec.Instant("probe", src, tag, 0, c.clock, obs.KV{K: "hit", V: boolKV(hit)})
-	}
+	_, _, hit := c.ProbeNext(src, tag)
 	return hit
-}
-
-// probeLocked is Probe's matching scan: a non-destructive peek through
-// the same seq-ordered scan Recv matches with. Earlier versions walked
-// the bySrc buckets in rank order, so a wildcard probe could name a
-// match from a low rank while Recv(AnySource) would deliver an
-// earlier-arrived message from a higher rank — Probe/TryRecv and Recv
-// disagreed about which message was "next". Sharing peek makes the
-// disagreement structurally impossible. Caller holds m.mu.
-func (m *mailbox) probeLocked(src, tag int) (msgSrc, msgTag int, ok bool) {
-	bkt, idx, ok := m.peek(src, tag)
-	if !ok {
-		return 0, 0, false
-	}
-	msg := &m.bySrc[bkt].items[idx]
-	return msg.src, msg.tag, true
 }
 
 // ProbeNext reports the source and tag of the message a matching
@@ -38,14 +16,20 @@ func (m *mailbox) probeLocked(src, tag int) (msgSrc, msgTag int, ok bool) {
 // with its status object. The answer is seq-ordered (true arrival
 // order), so the receive that follows is guaranteed to deliver the
 // message ProbeNext named, provided no other message is consumed in
-// between. src may be AnySource and tag AnyTag.
+// between. src may be AnySource and tag AnyTag. It scans with peek, the
+// matcher Recv and TryRecv use, so a wildcard probe and the receive after
+// it can never disagree about which message is next.
 func (c *Comm) ProbeNext(src, tag int) (msgSrc, msgTag int, ok bool) {
-	box := c.world.boxes[c.rank]
-	box.mu.Lock()
-	msgSrc, msgTag, ok = box.probeLocked(src, tag)
-	box.mu.Unlock()
+	wsrc, wtag := c.worldOf(src), c.recvTag(tag)
+	c.box.mu.Lock()
+	bkt, idx, ok := c.box.peek(wsrc, wtag, c.ctx)
+	if ok {
+		msg := &c.box.bySrc[bkt].items[idx]
+		msgSrc, msgTag = c.groupOf(msg.src), c.userTag(msg.tag)
+	}
+	c.box.mu.Unlock()
 	if c.rec != nil {
-		c.rec.Instant("probe", src, tag, 0, c.clock, obs.KV{K: "hit", V: boolKV(ok)})
+		c.rec.Instant("probe", wsrc, wtag, 0, c.clock, obs.KV{K: "hit", V: boolKV(ok)})
 	}
 	return msgSrc, msgTag, ok
 }
@@ -62,18 +46,18 @@ func boolKV(b bool) int64 {
 // farm can use it to poll between other duties. A hit counts as a normal
 // receive in an attached trace; a miss is recorded as an instant probe.
 func TryRecv[T any](c *Comm, src, tag int) (v T, ok bool) {
-	box := c.world.boxes[c.rank]
+	wsrc, wtag := c.worldOf(src), c.recvTag(tag)
 	simStart := c.clock
 	var wallStart int64
 	if c.rec != nil {
 		wallStart = c.rec.Now()
 	}
-	box.mu.Lock()
-	msg, ok := box.match(src, tag)
-	box.mu.Unlock()
+	c.box.mu.Lock()
+	msg, ok := c.box.match(wsrc, wtag, c.ctx)
+	c.box.mu.Unlock()
 	if !ok {
 		if c.rec != nil {
-			c.rec.Instant("probe", src, tag, 0, c.clock, obs.KV{K: "hit", V: 0})
+			c.rec.Instant("probe", wsrc, wtag, 0, c.clock, obs.KV{K: "hit", V: 0})
 		}
 		return v, false
 	}

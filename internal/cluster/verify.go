@@ -40,16 +40,17 @@ func (w *World) verifyTimeout() time.Duration {
 // beginColl marks this rank as inside the named collective: the trace
 // recorder (when attached) stamps the span start, and in Verify mode the
 // op and user call site are mirrored into the rank's mailbox for the
-// deadlock dump. root is the collective's root rank (-1 for rootless
-// collectives). Nesting (e.g. Split's internal Allgather) records and
-// verifies only the outermost op.
+// deadlock dump. root is the collective's root group rank (-1 for
+// rootless collectives); the trace records it as a world rank. Nesting
+// (e.g. Split's internal Allgather) records and verifies only the
+// outermost op.
 func (c *Comm) beginColl(op string, root int) {
 	c.collDepth++
 	if c.collDepth > 1 {
 		return // nested: outermost op wins
 	}
 	if c.rec != nil {
-		c.obsOp, c.obsRoot = op, root
+		c.obsOp, c.obsRoot = op, c.worldOf(root)
 		c.obsSimStart = c.clock
 		c.obsWallStart = c.rec.Now()
 	}
@@ -57,7 +58,7 @@ func (c *Comm) beginColl(op string, root int) {
 		return
 	}
 	c.curOp, c.curSite = op, callerSite()
-	b := c.world.boxes[c.rank]
+	b := c.box
 	b.mu.Lock()
 	b.opInfo = op + " @ " + c.curSite
 	b.collSeq = c.collSeq
@@ -79,15 +80,16 @@ func (c *Comm) endColl() {
 		return
 	}
 	c.curOp, c.curSite = "", ""
-	b := c.world.boxes[c.rank]
+	b := c.box
 	b.mu.Lock()
 	b.opInfo = ""
 	b.mu.Unlock()
 }
 
 // checkCollStamp panics when the collective stamp on a received message
-// disagrees with the collective this rank is inside.
-func (c *Comm) checkCollStamp(msg message) {
+// disagrees with the collective this rank is inside. Ranks in the
+// diagnostic are world ranks.
+func (c *endpoint) checkCollStamp(msg message) {
 	if msg.op == c.curOp {
 		return
 	}
@@ -95,34 +97,31 @@ func (c *Comm) checkCollStamp(msg message) {
 	case c.curOp == "":
 		panic(fmt.Sprintf(
 			"cluster: collective mismatch: rank %d was in a point-to-point receive but matched %s traffic sent by rank %d at %s — rank %d skipped (or has not yet reached) that collective",
-			c.rank, msg.op, msg.src, msg.site, c.rank))
+			c.worldRank, msg.op, msg.src, msg.site, c.worldRank))
 	case msg.op == "":
 		panic(fmt.Sprintf(
 			"cluster: collective mismatch: rank %d entered %s at %s but received point-to-point traffic from rank %d (tag %d) — rank %d is not in the collective",
-			c.rank, c.curOp, c.curSite, msg.src, msg.tag, msg.src))
+			c.worldRank, c.curOp, c.curSite, msg.src, msg.tag, msg.src))
 	default:
 		panic(fmt.Sprintf(
 			"cluster: collective mismatch: rank %d entered %s at %s, but rank %d entered %s at %s — every rank must call the same collective sequence",
-			c.rank, c.curOp, c.curSite, msg.src, msg.op, msg.site))
+			c.worldRank, c.curOp, c.curSite, msg.src, msg.op, msg.site))
 	}
 }
 
-// runtimeFiles are this package's non-test sources; callerSite skips
-// their frames so diagnostics point at user code.
-var runtimeFiles = map[string]bool{
-	"cluster.go": true, "collectives.go": true, "split.go": true,
-	"probe.go": true, "verify.go": true, "device.go": true, "netdev.go": true,
-}
-
+// callerSite names the innermost user frame on the stack as "file:line".
+// Runtime frames — functions of this package outside its _test.go files —
+// are skipped, so diagnostics point at user code.
 func callerSite() string {
 	pc := make([]uintptr, 16)
 	n := runtime.Callers(2, pc)
 	frames := runtime.CallersFrames(pc[:n])
 	for {
 		f, more := frames.Next()
-		base := filepath.Base(f.File)
-		if !runtimeFiles[base] && f.File != "" {
-			return fmt.Sprintf("%s:%d", base, f.Line)
+		runtimeFrame := strings.HasPrefix(f.Function, "repro/internal/cluster.") &&
+			!strings.HasSuffix(f.File, "_test.go")
+		if !runtimeFrame && f.File != "" {
+			return fmt.Sprintf("%s:%d", filepath.Base(f.File), f.Line)
 		}
 		if !more {
 			return "unknown"

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -10,25 +12,44 @@ import (
 // verifier: rank 0 calls Barrier while rank 1 calls Allreduce. Without
 // Verify this cross-matches tree traffic and hangs or corrupts; with it,
 // the world must come down immediately with a diagnostic naming both
-// collectives and both ranks.
+// collectives, both ranks, and both call sites as lines of this file —
+// on the world communicator and on a Split group alike.
 func TestVerifyCollectiveMismatch(t *testing.T) {
-	w := NewWorldOpts(2, VerifyOptions())
-	err := w.Run(func(c *Comm) {
-		if c.Rank() == 0 { //peachyvet:allow collective — the mismatch is the point of this test
-			c.Barrier()
-		} else {
-			Allreduce(c, 1, func(a, b int) int { return a + b })
-		}
-	})
-	if err == nil {
-		t.Fatal("mismatched collectives did not fail")
+	for _, group := range []bool{false, true} {
+		t.Run(map[bool]string{false: "world", true: "group"}[group], func(t *testing.T) {
+			line := make([]int, 2) // per rank: the line of its collective call
+			w := NewWorldOpts(2, VerifyOptions())
+			err := w.Run(func(c *Comm) {
+				comm := c
+				if group {
+					comm = c.Split(0, -c.Rank())
+				}
+				if c.Rank() == 0 { //peachyvet:allow collective — the mismatch is the point of this test
+					line[c.Rank()] = nextLine()
+					comm.Barrier()
+				} else {
+					line[c.Rank()] = nextLine()
+					Allreduce(comm, 1, func(a, b int) int { return a + b })
+				}
+			})
+			if err == nil {
+				t.Fatal("mismatched collectives did not fail")
+			}
+			msg := err.Error()
+			for _, want := range []string{"collective mismatch", "Barrier", "Allreduce", "rank 0", "rank 1",
+				fmt.Sprintf("verify_test.go:%d", line[0]), fmt.Sprintf("verify_test.go:%d", line[1])} {
+				if !strings.Contains(msg, want) {
+					t.Errorf("diagnostic missing %q:\n%s", want, msg)
+				}
+			}
+		})
 	}
-	msg := err.Error()
-	for _, want := range []string{"collective mismatch", "Barrier", "Allreduce", "rank 0", "rank 1", "verify_test.go"} {
-		if !strings.Contains(msg, want) {
-			t.Errorf("diagnostic missing %q:\n%s", want, msg)
-		}
-	}
+}
+
+// nextLine returns the line number after its caller's.
+func nextLine() int {
+	_, _, line, _ := runtime.Caller(1)
+	return line + 1
 }
 
 // TestVerifyMismatchNotMaskedByCascade: when a middle rank diverges in a
@@ -110,9 +131,9 @@ func TestVerifyCleanRun(t *testing.T) {
 			}
 		}
 		sub := c.Split(c.Rank()%2, c.Rank())
-		local := AllreduceSub(sub, 1, func(a, b int) int { return a + b })
+		local := Allreduce(sub, 1, func(a, b int) int { return a + b })
 		if local != P/2 {
-			t.Errorf("rank %d: AllreduceSub got %d", c.Rank(), local)
+			t.Errorf("rank %d: group Allreduce got %d", c.Rank(), local)
 		}
 		c.Barrier()
 	})
