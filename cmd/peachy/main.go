@@ -26,6 +26,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/analysis"
@@ -35,47 +36,56 @@ import (
 )
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes one peachy command and returns the process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) < 1 {
+		usage(stderr)
+		return 2
 	}
-	switch os.Args[1] {
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "peachy:", err)
+		return 1
+	}
+	switch args[0] {
 	case "verify":
 		passed, total, lines := core.RunChecks()
 		for _, l := range lines {
-			fmt.Println(l)
+			fmt.Fprintln(stdout, l)
 		}
-		fmt.Printf("\n%d/%d acceptance checks passed\n", passed, total)
+		fmt.Fprintf(stdout, "\n%d/%d acceptance checks passed\n", passed, total)
 		if passed != total {
-			os.Exit(1)
+			return 1
 		}
 	case "vet":
-		os.Exit(analysis.Main(os.Args[2:], os.Stdout, os.Stderr))
+		return analysis.Main(args[1:], stdout, stderr)
 	case "launch":
 		fs := flag.NewFlagSet("launch", flag.ExitOnError)
 		np := fs.Int("np", 4, "number of ranks (one process per rank)")
 		netw := fs.String("net", "unix", "transport: unix (socket files) | tcp (loopback ports)")
 		raw := fs.Bool("raw-output", false, "do not prefix non-root ranks' output lines with [rank r]")
 		obsListen := fs.String("obs-listen", "", "serve each rank's live /metrics, /healthz and pprof: rank r listens on this address with the port offset by r")
-		_ = fs.Parse(os.Args[2:])
+		_ = fs.Parse(args[1:])
 		if fs.NArg() == 0 {
-			fmt.Fprintln(os.Stderr, "peachy launch: no program given (usage: peachy launch -np 4 [-net unix|tcp] prog args...)")
-			os.Exit(2)
+			fmt.Fprintln(stderr, "peachy launch: no program given (usage: peachy launch -np 4 [-net unix|tcp] prog args...)")
+			return 2
 		}
 		if err := launch.Run(launch.Config{
 			NP: *np, Network: *netw, Argv: fs.Args(), Prefix: !*raw,
 			ObsListen: *obsListen,
 		}); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	case "obs-lint":
-		paths, err := expandArtifacts(os.Args[2:])
+		paths, err := expandArtifacts(args[1:])
 		if err != nil {
-			fatal(fmt.Errorf("obs-lint: %w", err))
+			return fail(fmt.Errorf("obs-lint: %w", err))
 		}
 		if len(paths) == 0 {
-			fmt.Fprintln(os.Stderr, "peachy obs-lint: no files given")
-			os.Exit(2)
+			fmt.Fprintln(stderr, "peachy obs-lint: no files given")
+			return 2
 		}
 		bad := 0
 		blobs := map[string][]byte{}
@@ -85,12 +95,12 @@ func main() {
 				err = obs.LintFile(data)
 			}
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "peachy obs-lint: %s: %v\n", path, err)
+				fmt.Fprintf(stderr, "peachy obs-lint: %s: %v\n", path, err)
 				bad++
 				continue
 			}
 			blobs[path] = data
-			fmt.Printf("%s: ok\n", path)
+			fmt.Fprintf(stdout, "%s: ok\n", path)
 		}
 		// Cross-file pass: any complete per-rank set among the inputs gets
 		// the merged-run lint — world-size agreement, rank ownership, and
@@ -109,41 +119,41 @@ func main() {
 				continue
 			}
 			if err := obs.LintMerged(docs); err != nil {
-				fmt.Fprintf(os.Stderr, "peachy obs-lint: %s.rank*: %v\n", base, err)
+				fmt.Fprintf(stderr, "peachy obs-lint: %s.rank*: %v\n", base, err)
 				bad++
 				continue
 			}
-			fmt.Printf("%s.rank* (%d ranks): cross-checks ok\n", base, len(docs))
+			fmt.Fprintf(stdout, "%s.rank* (%d ranks): cross-checks ok\n", base, len(docs))
 		}
 		if bad > 0 {
-			os.Exit(1)
+			return 1
 		}
 	case "obs-merge":
 		fs := flag.NewFlagSet("obs-merge", flag.ExitOnError)
 		outPath := fs.String("o", "", "output path (default: the input base path, .rank* stripped)")
 		noLint := fs.Bool("no-lint", false, "skip the LintMerged cross-checks before writing")
-		_ = fs.Parse(os.Args[2:])
+		_ = fs.Parse(args[1:])
 		paths, err := expandArtifacts(fs.Args())
 		if err != nil {
-			fatal(fmt.Errorf("obs-merge: %w", err))
+			return fail(fmt.Errorf("obs-merge: %w", err))
 		}
 		if len(paths) == 0 {
-			fmt.Fprintln(os.Stderr, "peachy obs-merge: no files given (usage: peachy obs-merge [-o out.json] trace.json.rank*)")
-			os.Exit(2)
+			fmt.Fprintln(stderr, "peachy obs-merge: no files given (usage: peachy obs-merge [-o out.json] trace.json.rank*)")
+			return 2
 		}
 		base, ordered, err := rankSeries(paths)
 		if err != nil {
-			fatal(fmt.Errorf("obs-merge: %w", err))
+			return fail(fmt.Errorf("obs-merge: %w", err))
 		}
 		docs := make([][]byte, len(ordered))
 		for r, p := range ordered {
 			if docs[r], err = os.ReadFile(p); err != nil {
-				fatal(fmt.Errorf("obs-merge: %w", err))
+				return fail(fmt.Errorf("obs-merge: %w", err))
 			}
 		}
 		if !*noLint {
 			if err := obs.LintMerged(docs); err != nil {
-				fatal(fmt.Errorf("obs-merge: %v", err))
+				return fail(fmt.Errorf("obs-merge: %v", err))
 			}
 		}
 		dst := *outPath
@@ -152,54 +162,55 @@ func main() {
 		}
 		f, err := os.Create(dst)
 		if err != nil {
-			fatal(fmt.Errorf("obs-merge: %w", err))
+			return fail(fmt.Errorf("obs-merge: %w", err))
 		}
 		if err := obs.Merge(f, docs); err != nil {
 			f.Close()
-			fatal(fmt.Errorf("obs-merge: %w", err))
+			return fail(fmt.Errorf("obs-merge: %w", err))
 		}
 		if err := f.Close(); err != nil {
-			fatal(fmt.Errorf("obs-merge: %w", err))
+			return fail(fmt.Errorf("obs-merge: %w", err))
 		}
-		fmt.Printf("merged %d ranks into %s\n", len(docs), dst)
+		fmt.Fprintf(stdout, "merged %d ranks into %s\n", len(docs), dst)
 	case "list":
 		for _, e := range core.AllExhibits() {
-			fmt.Printf("%-7s %s\n", e.ID, e.Title)
+			fmt.Fprintf(stdout, "%-7s %s\n", e.ID, e.Title)
 		}
 	case "repro":
 		fs := flag.NewFlagSet("repro", flag.ExitOnError)
 		out := fs.String("out", "out", "output directory for artifacts")
 		quick := fs.Bool("quick", false, "shrink instance sizes for a fast pass")
 		only := fs.String("only", "", "regenerate a single exhibit id (see `peachy list`)")
-		_ = fs.Parse(os.Args[2:])
+		_ = fs.Parse(args[1:])
 		if *only != "" {
 			e, ok := core.Find(*only)
 			if !ok {
-				fmt.Fprintf(os.Stderr, "peachy: unknown exhibit %q\n", *only)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "peachy: unknown exhibit %q\n", *only)
+				return 1
 			}
 			if err := os.MkdirAll(*out, 0o755); err != nil {
-				fatal(err)
+				return fail(err)
 			}
 			summary, err := e.Run(*out, *quick)
 			if err != nil {
-				fatal(err)
+				return fail(err)
 			}
-			fmt.Printf("# %s — %s\n\n%s\n", e.ID, e.Title, summary)
-			return
+			fmt.Fprintf(stdout, "# %s — %s\n\n%s\n", e.ID, e.Title, summary)
+			return 0
 		}
 		if err := core.RunAll(*out, *quick); err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Printf("all exhibits regenerated into %s (see repro_report.md)\n", *out)
+		fmt.Fprintf(stdout, "all exhibits regenerated into %s (see repro_report.md)\n", *out)
 	default:
-		usage()
-		os.Exit(2)
+		usage(stderr)
+		return 2
 	}
+	return 0
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage:
+func usage(w io.Writer) {
+	fmt.Fprintln(w, `usage:
   peachy list
   peachy repro [-out dir] [-quick] [-only id]
   peachy verify
@@ -207,9 +218,4 @@ func usage() {
   peachy obs-lint trace-or-metrics.json ...       (globs ok; complete .rank* sets get cross-file checks)
   peachy obs-merge [-o out.json] [-no-lint] trace.json.rank*
   peachy launch -np 4 [-net unix|tcp] [-raw-output] [-obs-listen host:port] prog args...`)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "peachy:", err)
-	os.Exit(1)
 }

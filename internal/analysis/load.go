@@ -44,10 +44,10 @@ type Unit struct {
 	ownFinds []ownFinding // its raw findings, filtered per enabled rule
 
 	// imp resolves imports for type-checking. Load gives every unit it
-	// returns the same one, so source-imported std packages are parsed
-	// once per load and released with its units; a unit built elsewhere
-	// gets its own on first use.
-	imp       *lenientImporter
+	// returns the same one, so each imported package is parsed and
+	// checked once per load and released with its units; a unit built
+	// elsewhere gets its own on first use.
+	imp       *srcImporter
 	typesOnce bool
 	info      *types.Info
 	typesPkg  *types.Package
@@ -109,7 +109,7 @@ func Load(patterns []string) ([]*Unit, error) {
 	for _, dir := range dirs {
 		units = append(units, loadDir(fset, dir)...)
 	}
-	imp := newLenientImporter(fset)
+	imp := newSrcImporter(fset)
 	for _, u := range units {
 		u.imp = imp
 	}

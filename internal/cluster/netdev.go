@@ -264,7 +264,7 @@ func (d *netDevice) attach(peer int, conn net.Conn) {
 		tc.SetNoDelay(true) // latency over throughput: frames are small
 	}
 	d.conns[peer] = conn
-	d.writers[peer] = newFrameWriter(conn)
+	d.writers[peer] = newFrameWriter(conn, peer)
 	s := "open"
 	d.state[peer].Store(&s)
 }
@@ -308,6 +308,9 @@ func (d *netDevice) deliver(dst int, msg message) {
 	start := rec.Now()
 	frameB, err := d.writers[dst].writeMsg(&wm)
 	if err != nil {
+		if errors.Is(err, errFrameTooLarge) {
+			panic(fmt.Sprintf("cluster: rank %d: send to rank %d refused: %v", d.rank, dst, err))
+		}
 		if isConnError(err) {
 			panic(fmt.Sprintf(
 				"cluster: rank %d: send to rank %d failed: %v — connection closed/reset, remote process likely exited or crashed",
@@ -335,7 +338,7 @@ func isConnError(err error) bool {
 // the rank's goroutine folds the stamps into the recorder in recvRaw,
 // keeping the recorder single-writer.
 func (d *netDevice) readLoop(peer int, conn net.Conn) {
-	fr := &frameReader{r: bufio.NewReader(conn)}
+	fr := newFrameReader(conn, peer)
 	dec := gob.NewDecoder(fr)
 	for {
 		fr.frameB = 0
@@ -352,7 +355,10 @@ func (d *netDevice) readLoop(peer int, conn net.Conn) {
 				return // normal shutdown, not a dead peer
 			}
 			desc := "connection reset: " + err.Error()
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+			switch {
+			case errors.Is(err, errFrameTooLarge):
+				desc = "corrupt stream: " + err.Error()
+			case errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF):
 				desc = "connection closed"
 			}
 			s := desc
@@ -410,28 +416,47 @@ func (d *netDevice) close() error {
 	return nil
 }
 
+// maxFrame caps a frame's body on both sides of the wire, so a corrupt
+// or hostile header cannot make the reader allocate up to 4 GiB. It sits
+// far above any frame the suite sends: the cluster tests, the launch
+// smoke and the traffic-net benchmark all pass with a 1 MiB cap.
+const maxFrame = 256 << 20
+
+// errFrameTooLarge is the error of a frame whose body exceeds the cap.
+var errFrameTooLarge = errors.New("frame too large")
+
+func frameTooLarge(dir string, peer, n, limit int) error {
+	return fmt.Errorf("%w: %d-byte frame %s rank %d exceeds the %d-byte cap", errFrameTooLarge, n, dir, peer, limit)
+}
+
 // frameWriter frames each gob-encoded message with a 4-byte big-endian
 // length prefix. The encoder is persistent per connection, so gob type
 // descriptors cross the wire once, with the first frame that uses them.
 type frameWriter struct {
-	conn io.Writer
-	buf  bytes.Buffer
-	enc  *gob.Encoder
-	hdr  [4]byte
+	conn  io.Writer
+	peer  int
+	limit int // body cap: maxFrame, lowered by tests
+	buf   bytes.Buffer
+	enc   *gob.Encoder
+	hdr   [4]byte
 }
 
-func newFrameWriter(conn io.Writer) *frameWriter {
-	fw := &frameWriter{conn: conn}
+func newFrameWriter(conn io.Writer, peer int) *frameWriter {
+	fw := &frameWriter{conn: conn, peer: peer, limit: maxFrame}
 	fw.enc = gob.NewEncoder(&fw.buf)
 	return fw
 }
 
 // writeMsg encodes m and writes it as one frame, returning the bytes put
-// on the wire (header + gob body) for the sender's net.tx aggregate.
+// on the wire (header + gob body) for the sender's net.tx aggregate. A
+// body over the cap is refused before anything is written.
 func (fw *frameWriter) writeMsg(m *wireMsg) (int64, error) {
 	fw.buf.Reset()
 	if err := fw.enc.Encode(m); err != nil {
 		return 0, err
+	}
+	if fw.buf.Len() > fw.limit {
+		return 0, frameTooLarge("to", fw.peer, fw.buf.Len(), fw.limit)
 	}
 	binary.BigEndian.PutUint32(fw.hdr[:], uint32(fw.buf.Len()))
 	if _, err := fw.conn.Write(fw.hdr[:]); err != nil {
@@ -451,18 +476,27 @@ func (fw *frameWriter) writeMsg(m *wireMsg) (int64, error) {
 // work, not idle time waiting for a peer to send.
 type frameReader struct {
 	r      *bufio.Reader
+	peer   int
 	buf    []byte // current frame's body
 	pos    int
 	frameB int64 // wire bytes (headers + bodies) fetched since the last reset
 }
 
-// fetch reads one whole frame (header + body) into the buffer.
+func newFrameReader(r io.Reader, peer int) *frameReader {
+	return &frameReader{r: bufio.NewReader(r), peer: peer}
+}
+
+// fetch reads one whole frame (header + body) into the buffer. A header
+// over maxFrame fails before any allocation.
 func (fr *frameReader) fetch() error {
 	var hdr [4]byte
 	if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
 		return err
 	}
 	n := int(binary.BigEndian.Uint32(hdr[:]))
+	if n > maxFrame {
+		return frameTooLarge("from", fr.peer, n, maxFrame)
+	}
 	if cap(fr.buf) < n {
 		fr.buf = make([]byte, n)
 	}
