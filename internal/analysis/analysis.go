@@ -139,16 +139,11 @@ func Analyze(u *Unit, cfg Config) []Finding {
 	r := &reporter{unit: u}
 	u.cfg = cfg
 	r.findings = append(r.findings, u.LoadErrs...)
+	u.ensureTypes()
 	for _, name := range AllRules {
-		if !cfg.enabled(name) {
-			continue
+		if cfg.enabled(name) {
+			checks[name](u, r)
 		}
-		switch name {
-		case "lockcopy", "capture", "useaftersend", "recvalias", "wiresafe",
-			"hotalloc", "rolledcoll", "nondet":
-			u.ensureTypes() // these rules consult type info where available
-		}
-		checks[name](u, r)
 	}
 	sort.Slice(r.findings, func(i, j int) bool {
 		a, b := r.findings[i].Pos, r.findings[j].Pos

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -98,6 +99,49 @@ func TestRulesAgainstFixtures(t *testing.T) {
 				t.Errorf("rule disabled but still reported %d finding(s): %v", len(fs), fs[0])
 			}
 		})
+	}
+}
+
+// TestRuleSelectionIndependent runs every fixture package once per rule,
+// each run on a fresh copy of the unit, and once with all rules: the
+// union of the single-rule findings must equal the all-rules findings.
+// No rule may depend on state (type information, summaries, the shared
+// ownership pass) that only another rule's run sets up. Load findings
+// repeat in every run and are left out of the comparison.
+func TestRuleSelectionIndependent(t *testing.T) {
+	units, err := Load([]string{filepath.Join("testdata", "src") + "/..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(units) < len(AllRules) {
+		t.Fatalf("%d fixture units loaded, want one per rule at least", len(units))
+	}
+	render := func(fs []Finding) []string {
+		var out []string
+		for _, f := range fs {
+			if f.Rule != "load" {
+				out = append(out, f.String())
+			}
+		}
+		sort.Strings(out)
+		return out
+	}
+	fresh := func(u *Unit) *Unit {
+		return &Unit{Dir: u.Dir, Rel: u.Rel, Name: u.Name, Fset: u.Fset, Files: u.Files,
+			LoadErrs: u.LoadErrs, allowLines: u.allowLines, imp: u.imp}
+	}
+	for _, u := range units {
+		var union []Finding
+		for _, rule := range AllRules {
+			cfg := DefaultConfig()
+			cfg.Rules = map[string]bool{rule: true}
+			union = append(union, Analyze(fresh(u), cfg)...)
+		}
+		got, want := render(union), render(Analyze(fresh(u), DefaultConfig()))
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: single-rule runs found\n%s\nthe all-rules run found\n%s",
+				u.Rel, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/types"
 )
 
 // callGraph is the per-unit static call graph the interprocedural rules
@@ -11,7 +12,7 @@ import (
 // resolve by selector name when the unit declares exactly one method with
 // that name (ambiguous names stay unresolved — summaries then treat the
 // call as having no communication effects, which keeps the engine
-// conservative rather than wrong).
+// conservative rather than wrong); package-qualified calls never resolve.
 type callGraph struct {
 	// byName maps a plain function name to its declaration.
 	byName map[string]*ast.FuncDecl
@@ -23,6 +24,7 @@ type callGraph struct {
 	callers map[*ast.FuncDecl]map[*ast.FuncDecl]bool
 	// decls lists every function declaration with a body, in file order.
 	decls []*ast.FuncDecl
+	info  *types.Info // the unit's, to tell package names from values
 }
 
 // buildCallGraph indexes the unit's declarations and call edges.
@@ -31,6 +33,7 @@ func buildCallGraph(u *Unit) *callGraph {
 		byName:       map[string]*ast.FuncDecl{},
 		methodByName: map[string]*ast.FuncDecl{},
 		callers:      map[*ast.FuncDecl]map[*ast.FuncDecl]bool{},
+		info:         u.info,
 	}
 	ambiguous := map[string]bool{}
 	for _, f := range u.Files {
@@ -80,32 +83,16 @@ func buildCallGraph(u *Unit) *callGraph {
 // builder classifies the effect before consulting the graph, so stubs do
 // not swallow effects.
 func (cg *callGraph) resolve(call *ast.CallExpr) *ast.FuncDecl {
-	fun := call.Fun
-	for {
-		switch x := fun.(type) {
-		case *ast.IndexExpr:
-			fun = x.X
-		case *ast.IndexListExpr:
-			fun = x.X
-		case *ast.ParenExpr:
-			fun = x.X
-		default:
-			goto resolved
-		}
-	}
-resolved:
-	switch x := fun.(type) {
+	switch x := unwrapCallFun(call).(type) {
 	case *ast.Ident:
 		return cg.byName[x.Name]
 	case *ast.SelectorExpr:
+		// A package-qualified call (strings.Split) never targets a
+		// unit-local method, nor a receiver call a package function.
 		if id, ok := x.X.(*ast.Ident); ok {
-			// A package-qualified call (pkg.Func) never targets a unit-local
-			// method; a receiver call (recv.Method) never targets a
-			// unit-local package function. Distinguish by what we have: a
-			// method of this name wins, since same-unit selector calls are
-			// almost always method calls on local types.
-			_ = id
-			return cg.methodByName[x.Sel.Name]
+			if _, isPkg := cg.info.Uses[id].(*types.PkgName); !isPkg {
+				return cg.methodByName[x.Sel.Name]
+			}
 		}
 	}
 	return nil

@@ -7,17 +7,131 @@ import (
 	"strings"
 )
 
-// Collective vocabulary of the cluster substrate. Methods are matched on
-// any receiver identifier; functions take the communicator as their first
-// argument (cluster.Bcast(c, ...) or, inside package cluster and its
-// tests, bare Bcast(c, ...)).
-var collectiveMethods = map[string]bool{
-	"Barrier": true, "Split": true,
+// opKind is what a communication operation does.
+type opKind uint8
+
+const (
+	opColl     opKind = iota // a collective
+	opSend                   // a point-to-point send
+	opRecv                   // a point-to-point receive
+	opSendRecv               // a paired send and blocking receive
+)
+
+// commShape is the shape of one operation of the cluster vocabulary.
+type commShape struct {
+	kind     opKind
+	method   bool // a method on Comm; otherwise a function taking the Comm first
+	payload  int  // payload argument index, -1 when the op carries none
+	blocking bool // receives: false for TryRecv
 }
 
-var collectiveFuncs = map[string]bool{
-	"Bcast": true, "Reduce": true, "Allreduce": true, "Gather": true,
-	"Allgather": true, "Scatter": true, "Alltoall": true, "Scan": true,
+// commVocab is the communication vocabulary of internal/cluster, by
+// name. Point-to-point calls take (comm, peer, tag[, payload]); the
+// payload positions mirror the cluster signatures.
+var commVocab = map[string]commShape{
+	"Barrier":   {kind: opColl, method: true, payload: -1},
+	"Split":     {kind: opColl, method: true, payload: -1},
+	"Bcast":     {kind: opColl, payload: 2},
+	"Reduce":    {kind: opColl, payload: 2},
+	"Gather":    {kind: opColl, payload: 2},
+	"Scatter":   {kind: opColl, payload: 2},
+	"Allreduce": {kind: opColl, payload: 1},
+	"Allgather": {kind: opColl, payload: 1},
+	"Alltoall":  {kind: opColl, payload: 1},
+	"Scan":      {kind: opColl, payload: 1},
+	"Send":      {kind: opSend, payload: 3},
+	"SendRecv":  {kind: opSendRecv, payload: 3, blocking: true},
+	"Recv":      {kind: opRecv, payload: -1, blocking: true},
+	"RecvFrom":  {kind: opRecv, payload: -1, blocking: true},
+	"TryRecv":   {kind: opRecv, payload: -1},
+}
+
+// commOp is one classified communication call.
+type commOp struct {
+	commShape
+	name string
+	comm string // communicator identifier ("" unknown)
+}
+
+// receives reports whether the op hands back data from a peer.
+func (op commOp) receives() bool { return op.kind == opRecv || op.kind == opSendRecv }
+
+// commOp classifies a call into the communication vocabulary. The callee
+// is what the type checker resolved the called name to: it must be a
+// function of a package that declares a type named Comm (the cluster
+// package, or a fixture's stand-in), a method must have that Comm as its
+// receiver, and its name picks the shape from commVocab. Namesakes
+// (strings.Split, par.Reduce, a recorder's Send) and callees in
+// placeholder packages are not communication. The call must also carry
+// every argument its shape reads, so callers may index peer, tag and
+// payload directly.
+func (u *Unit) commOp(call *ast.CallExpr) (commOp, bool) {
+	var id *ast.Ident
+	fun := unwrapCallFun(call)
+	switch f := fun.(type) {
+	case *ast.Ident:
+		id = f
+	case *ast.SelectorExpr:
+		id = f.Sel
+	default:
+		return commOp{}, false
+	}
+	shape, ok := commVocab[id.Name]
+	if !ok {
+		return commOp{}, false
+	}
+	fn, ok := u.info.Uses[id].(*types.Func)
+	if !ok || fn.Pkg() == nil {
+		return commOp{}, false
+	}
+	comm, ok := fn.Pkg().Scope().Lookup("Comm").(*types.TypeName)
+	if !ok {
+		return commOp{}, false
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	if (recv != nil) != shape.method || recv != nil && !isNamed(recv.Type(), comm) {
+		return commOp{}, false
+	}
+	need := shape.payload + 1
+	if shape.kind == opRecv {
+		need = 3
+	}
+	if len(call.Args) < need {
+		return commOp{}, false
+	}
+	// The communicator is a method's receiver, else the first argument.
+	op := commOp{commShape: shape, name: id.Name, comm: argIdent(call, 0)}
+	if shape.method {
+		op.comm = ""
+		if x, ok := fun.(*ast.SelectorExpr).X.(*ast.Ident); ok {
+			op.comm = x.Name
+		}
+	}
+	return op, true
+}
+
+// commCallName returns the bare name a call invokes (Run, w.Run,
+// pool.For), for the substrate shapes that are matched by name:
+// World.Run, the pool's For/ForRange/OnEach, and Do.
+func commCallName(call *ast.CallExpr) string {
+	switch x := unwrapCallFun(call).(type) {
+	case *ast.Ident:
+		return x.Name
+	case *ast.SelectorExpr:
+		if _, ok := x.X.(*ast.Ident); ok {
+			return x.Sel.Name
+		}
+	}
+	return ""
+}
+
+// isNamed reports whether t is the named type tn or a pointer to it.
+func isNamed(t types.Type, tn *types.TypeName) bool {
+	if p, ok := types.Unalias(t).(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := types.Unalias(t).(*types.Named)
+	return ok && named.Obj() == tn
 }
 
 // rankIdentNames are bare identifiers treated as a rank value.
@@ -95,57 +209,12 @@ func flipCmp(op token.Token) token.Token {
 	return op // EQL, NEQ symmetric
 }
 
-// collCall describes a collective call site.
-type collCall struct {
-	name string
-	comm string // communicator ident ("" unknown)
-	pos  token.Pos
-}
-
-// asCollective classifies a call expression as a collective, if it is one.
-func asCollective(call *ast.CallExpr) (collCall, bool) {
-	switch fun := call.Fun.(type) {
-	case *ast.SelectorExpr:
-		if collectiveMethods[fun.Sel.Name] && len(call.Args) <= 2 {
-			if id, ok := fun.X.(*ast.Ident); ok {
-				return collCall{name: fun.Sel.Name, comm: id.Name, pos: call.Pos()}, true
-			}
-			return collCall{name: fun.Sel.Name, pos: call.Pos()}, true
-		}
-		if collectiveFuncs[fun.Sel.Name] && len(call.Args) > 0 {
-			return collCall{name: fun.Sel.Name, comm: firstArgIdent(call), pos: call.Pos()}, true
-		}
-	case *ast.Ident:
-		// Bare call: inside package cluster or with a dot import.
-		if collectiveFuncs[fun.Name] && len(call.Args) > 0 {
-			return collCall{name: fun.Name, comm: firstArgIdent(call), pos: call.Pos()}, true
-		}
-	case *ast.IndexExpr: // explicit instantiation: Bcast[T](c, ...)
-		inner := &ast.CallExpr{Fun: fun.X, Args: call.Args}
-		return asCollective(inner)
-	case *ast.IndexListExpr:
-		inner := &ast.CallExpr{Fun: fun.X, Args: call.Args}
-		return asCollective(inner)
-	}
-	return collCall{}, false
-}
-
-func firstArgIdent(call *ast.CallExpr) string {
-	if len(call.Args) == 0 {
-		return ""
-	}
-	if id, ok := call.Args[0].(*ast.Ident); ok {
-		return id.Name
-	}
-	return ""
-}
-
 // collectColls gathers, in source order, the collective calls under n that
 // involve communicator comm (calls whose communicator cannot be derived
 // are included; calls on a different, known communicator are not). It
 // does not descend into nested function literals.
-func collectColls(u *Unit, n ast.Node, comm string) []collCall {
-	var out []collCall
+func collectColls(u *Unit, n ast.Node, comm string) []commOp {
+	var out []commOp
 	if n == nil {
 		return nil
 	}
@@ -154,11 +223,9 @@ func collectColls(u *Unit, n ast.Node, comm string) []collCall {
 		case *ast.FuncLit:
 			return false
 		case *ast.CallExpr:
-			if cc, ok := asCollective(c); ok && u.clusterCall(c) {
-				// clusterCall screens out namesakes from other packages
-				// (strings.Split is not a communicator split).
-				if comm == "" || cc.comm == "" || cc.comm == comm {
-					out = append(out, cc)
+			if op, ok := u.commOp(c); ok && op.kind == opColl {
+				if comm == "" || op.comm == "" || op.comm == comm {
+					out = append(out, op)
 				}
 			}
 		}
@@ -214,38 +281,4 @@ func funcBodies(u *Unit, visit func(name string, body *ast.BlockStmt)) {
 			return true
 		})
 	}
-}
-
-// clusterCall reports whether a collective- or comm-named call plausibly
-// targets the cluster vocabulary rather than an unrelated function that
-// shares a name (par.Reduce, a local Send helper, ...). Package-qualified
-// calls must come through a package named "cluster"; bare free-function
-// calls must hand a communicator-typed first argument when types resolve.
-// Method calls and calls with unresolved types pass — the syntactic rules
-// (collective, protocol) keep their lenient matching; only the
-// type-driven ownership and wire-safety rules consult this.
-func (u *Unit) clusterCall(call *ast.CallExpr) bool {
-	if sel, ok := unwrapCallFun(call).(*ast.SelectorExpr); ok {
-		if id, ok := sel.X.(*ast.Ident); ok && u.info != nil {
-			if _, isPkg := u.info.Uses[id].(*types.PkgName); isPkg {
-				return id.Name == "cluster"
-			}
-		}
-		return true // method call on a value (c.Barrier and friends)
-	}
-	if u.info == nil || len(call.Args) == 0 {
-		return true
-	}
-	t := u.info.TypeOf(call.Args[0])
-	if t == nil {
-		return true
-	}
-	if b, ok := t.(*types.Basic); ok && b.Kind() == types.Invalid {
-		return true // unresolved cross-package type: stay lenient
-	}
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := types.Unalias(t).(*types.Named)
-	return ok && named.Obj().Name() == "Comm"
 }

@@ -54,25 +54,13 @@ func (u *Unit) payloadFacts(fd *ast.FuncDecl) map[string]sentFact {
 
 // commPayload returns the payload argument of a direct communication
 // call — a point-to-point send or a payload-carrying collective — with
-// the operation name. Calls that merely share a name with the cluster
-// vocabulary are rejected by the clusterCall gate.
+// the operation name.
 func commPayload(u *Unit, call *ast.CallExpr) (ast.Expr, string, bool) {
-	if !u.clusterCall(call) {
+	op, ok := u.commOp(call)
+	if !ok || op.payload < 0 {
 		return nil, "", false
 	}
-	if cc, ok := asCollective(call); ok {
-		if i := collPayloadIndex(cc.name); i >= 0 && i < len(call.Args) {
-			return call.Args[i], cc.name, true
-		}
-		return nil, "", false
-	}
-	switch name := commCallName(call); name {
-	case "Send", "SendRecv":
-		if len(call.Args) == 4 {
-			return call.Args[3], name, true
-		}
-	}
-	return nil, "", false
+	return call.Args[op.payload], op.name, true
 }
 
 // mentionsIdent reports whether the node mentions an identifier by name
@@ -99,9 +87,8 @@ func mentionsIdent(n ast.Node, name string) bool {
 }
 
 // pkgSel matches a package-qualified call (pkg.Fn(...)) and returns the
-// package and function names. With type info the base identifier must
-// resolve to an imported package; without it the spelling decides — the
-// lenient degrade every type-consulting rule uses.
+// package and function names; the base identifier must resolve to an
+// imported package.
 func (u *Unit) pkgSel(call *ast.CallExpr) (pkg, fn string, ok bool) {
 	sel, isSel := unwrapCallFun(call).(*ast.SelectorExpr)
 	if !isSel {
@@ -111,10 +98,8 @@ func (u *Unit) pkgSel(call *ast.CallExpr) (pkg, fn string, ok bool) {
 	if !isID {
 		return "", "", false
 	}
-	if u.info != nil {
-		if _, isPkg := u.info.Uses[id].(*types.PkgName); !isPkg {
-			return "", "", false
-		}
+	if _, isPkg := u.info.Uses[id].(*types.PkgName); !isPkg {
+		return "", "", false
 	}
 	return id.Name, sel.Sel.Name, true
 }

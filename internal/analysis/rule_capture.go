@@ -167,13 +167,11 @@ func analyzeClosure(u *Unit, r *reporter, lit *ast.FuncLit, label string, taintP
 			if !ok || !captured(base) {
 				return
 			}
-			if u.info != nil {
-				if tv, ok := u.info.Types[x.X]; ok {
-					if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
-						r.report("capture", pos,
-							"write to captured map %q inside %s: concurrent map writes fault even on distinct keys — rank-guard it or merge after the join", base.Name, label)
-						return
-					}
+			if tv, ok := u.info.Types[x.X]; ok {
+				if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
+					r.report("capture", pos,
+						"write to captured map %q inside %s: concurrent map writes fault even on distinct keys — rank-guard it or merge after the join", base.Name, label)
+					return
 				}
 			}
 			if !isTaintedIndex(x.Index) {

@@ -29,7 +29,6 @@ import (
 // allocations the caller could hoist, and are not reported either.
 
 func checkHotAlloc(u *Unit, r *reporter) {
-	u.ensureTypes()
 	sums := u.summaries()
 	funcBodies(u, func(name string, body *ast.BlockStmt) {
 		h := &hotAllocScan{u: u, r: r, cg: sums.cg, seen: map[token.Pos]bool{}}
@@ -270,12 +269,10 @@ func (h *hotAllocScan) refLiteral(x ast.Expr) bool {
 	case *ast.ArrayType, *ast.MapType:
 		return true
 	}
-	if h.u.info != nil {
-		if t := h.u.info.TypeOf(lit); t != nil {
-			switch t.Underlying().(type) {
-			case *types.Slice, *types.Map:
-				return true
-			}
+	if t := h.u.info.TypeOf(lit); t != nil {
+		switch t.Underlying().(type) {
+		case *types.Slice, *types.Map:
+			return true
 		}
 	}
 	return false

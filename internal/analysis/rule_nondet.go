@@ -34,7 +34,6 @@ import (
 // send or collective is reported at the call site.
 
 func checkNondet(u *Unit, r *reporter) {
-	u.ensureTypes()
 	sums := u.summaries()
 	funcBodies(u, func(name string, body *ast.BlockStmt) {
 		s := &nondetScan{
@@ -228,9 +227,6 @@ func (s *nondetScan) rangeStmt(x *ast.RangeStmt) {
 }
 
 func (s *nondetScan) isMapExpr(e ast.Expr) bool {
-	if s.u.info == nil {
-		return false
-	}
 	t := s.u.info.TypeOf(e)
 	if t == nil {
 		return false
@@ -309,9 +305,6 @@ func (s *nondetScan) inRangeBase(name string) bool {
 }
 
 func (s *nondetScan) isIntegerIdent(e ast.Expr) bool {
-	if s.u.info == nil {
-		return false
-	}
 	t := s.u.info.TypeOf(e)
 	if t == nil {
 		return false

@@ -191,7 +191,6 @@ type ownEngine struct {
 }
 
 func (e *ownEngine) run() {
-	e.u.ensureTypes()
 	funcBodies(e.u, func(name string, body *ast.BlockStmt) {
 		e.walkStmts(body.List, newOwnState())
 	})
@@ -216,12 +215,9 @@ func (e *ownEngine) line(pos token.Pos) int {
 }
 
 // isRefExprType reports whether an expression's static type has
-// reference semantics (slice, map or pointer underlying). Missing type
-// info yields false: untyped expressions go untracked rather than noisy.
+// reference semantics (slice, map or pointer underlying). An expression
+// without a type yields false: it goes untracked rather than noisy.
 func (e *ownEngine) isRefExprType(x ast.Expr) bool {
-	if e.u.info == nil {
-		return false
-	}
 	t := e.u.info.TypeOf(x)
 	if t == nil {
 		return false
@@ -427,20 +423,20 @@ func (e *ownEngine) bind(name string, rhs ast.Expr, multiFromCall bool, st *ownS
 		return
 	}
 	if call, ok := rhs.(*ast.CallExpr); ok {
-		if e.u.clusterCall(call) {
-			if isRecvName(commCallName(call)) {
+		if op, ok := e.u.commOp(call); ok {
+			if op.receives() {
 				root := e.fresh(name)
 				st.alias[name] = bufRegion{root: root, whole: true}
 				st.recvd[root] = true
 				return
 			}
-			if cc, ok := asCollective(call); ok && e.payloadShares(call) {
+			if op.kind == opColl && e.payloadShares(call) {
 				// The collective's return value is shared with other ranks by
 				// the in-process transport (Bcast hands every rank the same
 				// backing array); writes to it need a deep copy first.
 				root := e.fresh(name)
 				st.alias[name] = bufRegion{root: root, whole: true}
-				st.live[root] = &liveInfo{op: cc.name + " result", pos: call.Pos()}
+				st.live[root] = &liveInfo{op: op.name + " result", pos: call.Pos()}
 				return
 			}
 		}
@@ -587,7 +583,7 @@ func (e *ownEngine) rhsFromRecv(rhs ast.Expr, st *ownState) bool {
 		case *ast.FuncLit:
 			return false
 		case *ast.CallExpr:
-			if isRecvName(commCallName(x)) {
+			if op, ok := e.u.commOp(x); ok && op.receives() {
 				found = true
 				return false
 			}
@@ -601,14 +597,6 @@ func (e *ownEngine) rhsFromRecv(rhs ast.Expr, st *ownState) bool {
 		if reg, ok2 := st.alias[name]; ok2 {
 			return st.recvd[reg.root]
 		}
-	}
-	return false
-}
-
-func isRecvName(name string) bool {
-	switch name {
-	case "Recv", "RecvFrom", "TryRecv", "SendRecv":
-		return true
 	}
 	return false
 }
@@ -660,8 +648,9 @@ func (e *ownEngine) handleCall(call *ast.CallExpr, st *ownState) {
 			return
 		}
 	}
-	if e.u.clusterCall(call) {
-		if cc, ok := asCollective(call); ok {
+	if op, ok := e.u.commOp(call); ok {
+		switch op.kind {
+		case opColl:
 			// Entering a collective synchronizes earlier point-to-point
 			// sends; the payload handed to it becomes shared with other
 			// ranks (the transport passes the pointer through).
@@ -671,31 +660,25 @@ func (e *ownEngine) handleCall(call *ast.CallExpr, st *ownState) {
 			// reduce+bcast fallback clones at the root before broadcasting
 			// (collectives.go). The *result* still aliases shared memory —
 			// handled in bind — but the argument is reusable.
-			reusable := cc.name == "Allreduce"
-			if i := collPayloadIndex(cc.name); i >= 0 && i < len(call.Args) && !reusable && e.payloadShares(call.Args[i]) {
-				if reg, ok := e.resolveRef(call.Args[i], st); ok {
-					st.live[reg.root] = &liveInfo{op: cc.name, pos: call.Pos()}
+			reusable := op.name == "Allreduce"
+			if op.payload >= 0 && !reusable && e.payloadShares(call.Args[op.payload]) {
+				if reg, ok := e.resolveRef(call.Args[op.payload], st); ok {
+					st.live[reg.root] = &liveInfo{op: op.name, pos: call.Pos()}
 				}
 			}
-			return
-		}
-		switch name := commCallName(call); name {
-		case "Send", "SendRecv":
-			if len(call.Args) == 4 && e.payloadShares(call.Args[3]) {
-				if reg, ok := e.resolveRef(call.Args[3], st); ok {
+		case opSend, opSendRecv:
+			if e.payloadShares(call.Args[op.payload]) {
+				if reg, ok := e.resolveRef(call.Args[op.payload], st); ok {
 					st.live[reg.root] = &liveInfo{
-						op: name, pos: call.Pos(), p2p: true,
+						op: op.name, pos: call.Pos(), p2p: true,
 						peer: renderPeer(call.Args[1], e.consts),
 					}
 				}
 			}
-			return
-		case "Recv", "RecvFrom", "TryRecv":
-			if len(call.Args) == 3 {
-				st.clearPeer(renderPeer(call.Args[1], e.consts))
-			}
-			return
+		case opRecv:
+			st.clearPeer(renderPeer(call.Args[1], e.consts))
 		}
+		return
 	}
 	callee := e.sums.cg.resolve(call)
 	if callee == nil {
@@ -784,13 +767,11 @@ func (e *ownEngine) payloadShares(x ast.Expr) bool {
 			return true
 		}
 	}
-	if e.u.info != nil {
-		if t := e.u.info.TypeOf(x); t != nil {
-			if b, ok := t.(*types.Basic); ok && b.Kind() == types.Invalid {
-				// unresolved cross-package type: judge syntactically below
-			} else {
-				return e.u.hasReferenceParts(t, false)
-			}
+	if t := e.u.info.TypeOf(x); t != nil {
+		if b, ok := t.(*types.Basic); ok && b.Kind() == types.Invalid {
+			// unresolved cross-package type: judge syntactically below
+		} else {
+			return e.u.hasReferenceParts(t, false)
 		}
 	}
 	_, isIdent := stripParens(x).(*ast.Ident)

@@ -16,10 +16,6 @@ import (
 // implement no CloneWire, and CloneWire implementations that return
 // shallow copies.
 func checkWireSafe(u *Unit, r *reporter) {
-	u.ensureTypes()
-	if u.info == nil {
-		return
-	}
 	for _, f := range u.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch x := n.(type) {
@@ -35,21 +31,8 @@ func checkWireSafe(u *Unit, r *reporter) {
 
 // wireCheckCall applies the lattice to one payload site.
 func (u *Unit) wireCheckCall(call *ast.CallExpr, r *reporter) {
-	if !u.clusterCall(call) {
-		return // same-named function outside the cluster vocabulary
-	}
-	var payload ast.Expr
-	var opName string
-	if cc, ok := asCollective(call); ok {
-		if i := collPayloadIndex(cc.name); i >= 0 && i < len(call.Args) {
-			payload = call.Args[i]
-			opName = cc.name
-		}
-	} else if name := commCallName(call); (name == "Send" || name == "SendRecv") && len(call.Args) == 4 {
-		payload = call.Args[3]
-		opName = name
-	}
-	if payload == nil {
+	payload, opName, ok := commPayload(u, call)
+	if !ok {
 		return
 	}
 	t := u.info.TypeOf(payload)

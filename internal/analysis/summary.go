@@ -126,8 +126,11 @@ type summarizer struct {
 
 // summaries returns (building if needed) the unit's summarizer. The cache
 // lives on the Unit so the protocol and deadlock rules share one build.
+// Summaries classify calls by type, so it makes sure the unit has been
+// type-checked (SummarizeUnit builds them outside Analyze).
 func (u *Unit) summaries() *summarizer {
 	if u.sums == nil {
+		u.ensureTypes()
 		u.sums = &summarizer{
 			u:        u,
 			cg:       buildCallGraph(u),
@@ -526,56 +529,27 @@ func (s *summarizer) callEffects(call *ast.CallExpr, params map[string]bool, dep
 	for _, a := range call.Args {
 		out = append(out, s.exprEffects(a, params, depth)...)
 	}
-	if cc, ok := asCollective(call); ok {
-		eff := Effect{Kind: EffColl, Op: cc.name, Comm: cc.comm, Pos: call.Pos()}
-		if i := collPayloadIndex(cc.name); i >= 0 {
-			eff.Payload = paramArgName(call, i, params)
+	if op, ok := s.u.commOp(call); ok {
+		if op.kind == opColl {
+			eff := Effect{Kind: EffColl, Op: op.name, Comm: op.comm, Pos: call.Pos()}
+			if op.payload >= 0 {
+				eff.Payload = paramArgName(call, op.payload, params)
+			}
+			return append(out, eff)
 		}
-		out = append(out, eff)
+		// Point-to-point: (comm, peer, tag[, payload]). A SendRecv posts
+		// the send, then blocks on the matching receive with the same tag.
+		peer := s.classify(call.Args[1], params)
+		tag := s.classify(call.Args[2], params)
+		if op.kind != opRecv {
+			out = append(out, Effect{Kind: EffSend, Op: op.name, Comm: op.comm, Pos: call.Pos(),
+				Peer: peer, Tag: tag, Payload: paramArgName(call, op.payload, params)})
+		}
+		if op.receives() {
+			out = append(out, Effect{Kind: EffRecv, Op: op.name, Comm: op.comm, Pos: call.Pos(),
+				Blocking: op.blocking, Peer: peer, Tag: tag})
+		}
 		return out
-	}
-	name := commCallName(call)
-	switch name {
-	case "Send":
-		if len(call.Args) == 4 {
-			out = append(out, Effect{
-				Kind: EffSend, Op: name, Comm: argIdent(call, 0), Pos: call.Pos(),
-				Peer:    s.classify(call.Args[1], params),
-				Tag:     s.classify(call.Args[2], params),
-				Payload: paramArgName(call, 3, params),
-			})
-			return out
-		}
-	case "Recv", "RecvFrom":
-		if len(call.Args) == 3 {
-			out = append(out, Effect{
-				Kind: EffRecv, Op: name, Comm: argIdent(call, 0), Pos: call.Pos(), Blocking: true,
-				Peer: s.classify(call.Args[1], params),
-				Tag:  s.classify(call.Args[2], params),
-			})
-			return out
-		}
-	case "TryRecv":
-		if len(call.Args) == 3 {
-			out = append(out, Effect{
-				Kind: EffRecv, Op: name, Comm: argIdent(call, 0), Pos: call.Pos(), Blocking: false,
-				Peer: s.classify(call.Args[1], params),
-				Tag:  s.classify(call.Args[2], params),
-			})
-			return out
-		}
-	case "SendRecv":
-		// A paired exchange: posts the send, then blocks on the matching
-		// receive with the same tag.
-		if len(call.Args) == 4 {
-			peer := s.classify(call.Args[1], params)
-			tag := s.classify(call.Args[2], params)
-			out = append(out,
-				Effect{Kind: EffSend, Op: name, Comm: argIdent(call, 0), Pos: call.Pos(), Peer: peer, Tag: tag,
-					Payload: paramArgName(call, 3, params)},
-				Effect{Kind: EffRecv, Op: name, Comm: argIdent(call, 0), Pos: call.Pos(), Blocking: true, Peer: peer, Tag: tag})
-			return out
-		}
 	}
 	callee := s.cg.resolve(call)
 	if callee == nil || depth >= maxSpliceDepth {
@@ -734,19 +708,6 @@ func mentionsRank(n ast.Node) bool {
 		return !found
 	})
 	return found
-}
-
-// collPayloadIndex returns the payload argument position of a collective
-// by name, or -1 for collectives that carry no user payload (Barrier,
-// Split). The positions mirror internal/cluster's signatures.
-func collPayloadIndex(name string) int {
-	switch name {
-	case "Bcast", "Reduce", "Gather", "Scatter":
-		return 2 // (comm, root, v, ...)
-	case "Allreduce", "Allgather", "Alltoall", "Scan":
-		return 1 // (comm, v, ...)
-	}
-	return -1
 }
 
 // paramArgName returns the name of argument i when it is a bare

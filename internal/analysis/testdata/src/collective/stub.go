@@ -1,6 +1,6 @@
 // Package fixture holds self-contained peachyvet test inputs. The stubs
-// mirror the shapes of the cluster API; the rules match by name, so no
-// import of the real package is needed.
+// mirror the shapes of the cluster API; the package declares Comm, so the
+// rules take them for the real thing and no import of it is needed.
 package fixture
 
 type Comm struct{}

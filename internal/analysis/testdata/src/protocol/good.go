@@ -1,5 +1,7 @@
 package fixture
 
+import "strings"
+
 const tagOK = 600
 
 // syncUp hides a Barrier behind a call — fine as long as every arm of a
@@ -35,4 +37,23 @@ func collInUniformLoop(c *Comm, n int) {
 	for i := 0; i < n; i++ {
 		Bcast(c, 0, i)
 	}
+}
+
+// fields splits on commas. strings.Split is not a communicator split,
+// nor the header's Split method below.
+func fields(s string) []string {
+	return strings.Split(s, ",")
+}
+
+type header struct{ c *Comm }
+
+func (h *header) Split() { h.c.Barrier() }
+
+// Only rank 0 parses the header, but a string split is no collective:
+// every rank still runs the same Barrier.
+func parseOnRoot(c *Comm, s string) {
+	if c.Rank() == 0 {
+		_ = fields(s)
+	}
+	c.Barrier()
 }

@@ -80,3 +80,23 @@ func loopWrap(c *Comm, buf []float64) {
 		Send(c, 1, tagC, buf)
 	}
 }
+
+// A helper that splits a string is no sync point: the send is still in
+// flight when the buffer is written.
+func splitIsNoSync(c *Comm, buf []float64, s string) {
+	Send(c, 1, tagA, buf)
+	_ = fields(s)
+	buf[0] = 1 // WANT useaftersend
+}
+
+// A mailbox is no communicator. Its Recv from rank 1 proves nothing
+// about the send to rank 1, and what it returns is not received data.
+type mailbox struct{}
+
+func (m *mailbox) Recv(src, tag int) float64 { return 0 }
+
+func namesakeRecv(c *Comm, m *mailbox, buf []float64) {
+	Send(c, 1, tagA, buf)
+	v := m.Recv(1, tagA)
+	buf[0] = v // WANT useaftersend
+}

@@ -4,6 +4,8 @@
 // the contract is that a sent buffer is frozen until a sync point.
 package fixture
 
+import "strings"
+
 type Comm struct{}
 
 func (c *Comm) Rank() int { return 0 }
@@ -17,3 +19,7 @@ func Recv[T any](c *Comm, src, tag int) T { var zero T; return zero }
 func Bcast[T any](c *Comm, root int, v T) T { return v }
 
 func Allreduce[T any](c *Comm, v T, op func(a, b T) T) T { return v }
+
+// fields splits on commas. strings.Split is a namesake of Comm.Split,
+// not a collective.
+func fields(s string) []string { return strings.Split(s, ",") }

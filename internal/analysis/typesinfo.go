@@ -17,7 +17,9 @@ import (
 //   - "unsafe" is types.Unsafe;
 //   - a path of the module enclosing the importing directory (the go.mod
 //     found by walking up from it) maps to the directory under the
-//     module root;
+//     module root, and a path of a module that go.mod replaces with a
+//     local directory (`replace repro => ../`) to the directory under
+//     that one;
 //   - a standard-library path (no dot in its first element), or any
 //     import made from inside GOROOT/src, is located by go/build with cgo
 //     disabled; the importing directory lets vendored std deps resolve;
@@ -40,8 +42,10 @@ type srcImporter struct {
 	mods      map[string]module         // directory -> enclosing module
 }
 
-// module is a go.mod's module path and the directory holding it.
-type module struct{ path, root string }
+// module maps the module paths a go.mod resolves locally to directories:
+// its own path to the directory holding it, and each path a replace
+// directive points at a relative directory to that directory.
+type module map[string]string
 
 // importing marks a package whose type-check is in progress, so a cycle
 // back to it gets the placeholder instead of recursing.
@@ -89,9 +93,8 @@ func (im *srcImporter) ImportFrom(path, srcDir string, _ types.ImportMode) (*typ
 func (im *srcImporter) locate(path, srcDir string) (canon, dir string) {
 	inGoroot := within(im.gorootSrc, srcDir)
 	if !inGoroot {
-		m := im.module(srcDir)
-		if rest, ok := strings.CutPrefix(path, m.path); ok && m.path != "" && (rest == "" || rest[0] == '/') {
-			return path, filepath.Join(m.root, filepath.FromSlash(rest))
+		if dir := im.module(srcDir).dir(path); dir != "" {
+			return path, dir
 		}
 	}
 	// go/build only falls back to `go list` for an import from outside
@@ -114,7 +117,7 @@ func (im *srcImporter) module(dir string) module {
 	}
 	var m module
 	if data, err := os.ReadFile(filepath.Join(dir, "go.mod")); err == nil {
-		m = module{path: modulePath(data), root: dir}
+		m = parseGoMod(data, dir)
 	} else if parent := filepath.Dir(dir); parent != dir {
 		m = im.module(parent)
 	}
@@ -168,14 +171,41 @@ func (im *srcImporter) stub(path string) *types.Package {
 	return pkg
 }
 
-// modulePath returns the module path a go.mod file declares.
-func modulePath(gomod []byte) string {
-	for _, line := range strings.Split(string(gomod), "\n") {
-		if f := strings.Fields(line); len(f) >= 2 && f[0] == "module" {
-			return strings.Trim(f[1], "\"`")
+// dir returns the directory of an import path under the longest module
+// path m maps, or "" when m maps none of its prefixes.
+func (m module) dir(path string) string {
+	dir, best := "", -1
+	for mod, root := range m {
+		rest, ok := strings.CutPrefix(path, mod)
+		if ok && (rest == "" || rest[0] == '/') && len(mod) > best {
+			dir, best = filepath.Join(root, filepath.FromSlash(rest)), len(mod)
 		}
 	}
-	return ""
+	return dir
+}
+
+// parseGoMod reads the module path, and the replace directives that
+// point a module path at a local directory (`replace repro => ../`), of
+// the go.mod held by root.
+func parseGoMod(gomod []byte, root string) module {
+	m := module{}
+	for _, line := range strings.Split(string(gomod), "\n") {
+		line, _, _ = strings.Cut(line, "//")
+		f := strings.Fields(line)
+		switch n := len(f); {
+		case n >= 2 && f[0] == "module":
+			m[strings.Trim(f[1], "\"`")] = root
+		case n >= 4 && f[0] == "replace" && f[n-2] == "=>" && isLocalDir(f[n-1]):
+			m[strings.Trim(f[1], "\"`")] = filepath.Join(root, filepath.FromSlash(f[n-1]))
+		}
+	}
+	return m
+}
+
+// isLocalDir reports whether a replacement is a relative directory, which
+// go.mod spells with a leading ./ or ../; a module path is not.
+func isLocalDir(dir string) bool {
+	return dir == "." || dir == ".." || strings.HasPrefix(dir, "./") || strings.HasPrefix(dir, "../")
 }
 
 func within(root, dir string) bool {

@@ -5,6 +5,7 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -141,5 +142,48 @@ func TestImportCycleDegrades(t *testing.T) {
 			t.Errorf("%s: import of %s is %q with %d members, want the empty placeholder",
 				u.Rel, other, pkg.Name(), pkg.Scope().Len())
 		}
+	}
+}
+
+// TestReplaceResolvesLocally loads perfbench, a module of its own that
+// reaches this one through `replace repro => ../`: its repro/... imports
+// must resolve to the real packages, not placeholders.
+func TestReplaceResolvesLocally(t *testing.T) {
+	u := loadTyped(t, filepath.Join("..", "..", "perfbench"))
+	checkClusterResolved(t, imported(t, u, "repro/internal/cluster"))
+	for path := range u.imp.stubs {
+		if strings.HasPrefix(path, "repro/") {
+			t.Errorf("placeholder for %s", path)
+		}
+	}
+}
+
+// TestParseGoMod reads the module path and only the replace directives
+// that point at a local directory.
+func TestParseGoMod(t *testing.T) {
+	gomod := `module example.com/app // the app
+
+require example.com/lib v1.2.0
+
+replace example.com/lib => ../lib
+replace example.com/pinned v1.0.0 => ./pinned // a comment
+replace example.com/up => ..
+replace example.com/remote => example.com/fork v1.1.0
+`
+	got := parseGoMod([]byte(gomod), "/src/app")
+	want := module{
+		"example.com/app":    "/src/app",
+		"example.com/lib":    "/src/lib",
+		"example.com/pinned": "/src/app/pinned",
+		"example.com/up":     "/src",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("parseGoMod = %v, want %v", got, want)
+	}
+	if dir := got.dir("example.com/lib/sub"); dir != "/src/lib/sub" {
+		t.Errorf("dir(example.com/lib/sub) = %q", dir)
+	}
+	if dir := got.dir("example.com/library"); dir != "" {
+		t.Errorf("dir(example.com/library) = %q, want none", dir)
 	}
 }

@@ -17,9 +17,6 @@ go test -race ./...
 echo "== peachyvet ./..."
 go run ./cmd/peachyvet ./...
 
-echo "== peachyvet self-test (examples/ and cmd/ stay clean)"
-go run ./cmd/peachyvet -q ./examples/... ./cmd/...
-
 echo "== peachyvet -json artifact"
 mkdir -p out
 go run ./cmd/peachyvet -json ./... > out/peachyvet.json
